@@ -4,7 +4,8 @@ A base is a strictly monotone map h on (0, 1] with a closed-form inverse; the
 sides of a typed OFN are affine images slope * h(alpha) + offset.  Everything
 the rest of the package needs from h lives in one record: evaluation, the
 inverse on the closure of the range, the (possibly infinite) limit at 0, the
-value at 1, and the integral over [0, 1] used by the ranking functional.
+value at 1, the integral over [0, 1] used by the ranking functional, and the
+names it is written under (document tag, render symbol, expression literal).
 
 The registry is closed at import time with the four shipped bases; additional
 bases can be registered explicitly and are validated by a monotonicity sweep.
@@ -34,6 +35,13 @@ class BaseFunction:
     limit_at_zero: float
     value_at_one: float
     integral: float
+    doc_tag: str | None = None      # defaults to tag
+    symbol: str | None = None       # defaults to "<tag>(x)"
+    literal: str | None = None      # None: no expression literal
+
+    def __post_init__(self):
+        object.__setattr__(self, "doc_tag", self.doc_tag or self.tag)
+        object.__setattr__(self, "symbol", self.symbol or f"{self.tag}(x)")
 
     def value(self, alpha: float) -> float:
         """h(alpha); the alpha=0 endpoint returns the limit, which may be infinite."""
@@ -94,9 +102,11 @@ def _validate(b: BaseFunction) -> None:
 
 
 def register_base(b: BaseFunction) -> BaseFunction:
-    """Validate a base record and add it to the registry (tags are unique)."""
-    if b.tag in _REGISTRY:
-        raise DomainError(f"base tag {b.tag!r} is already registered")
+    """Validate a base record and add it to the registry (names are unique)."""
+    for field in ("tag", "doc_tag", "literal"):
+        name = getattr(b, field)
+        if name is not None and base_named(field, name) is not None:
+            raise DomainError(f"{field} {name!r} is already taken")
     _validate(b)
     _REGISTRY[b.tag] = b
     return b
@@ -113,6 +123,11 @@ def available_tags() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
+def base_named(field: str, name: object) -> BaseFunction | None:
+    """The registered base whose `field` (tag, doc_tag or literal) is `name`."""
+    return next((b for b in _REGISTRY.values() if getattr(b, field) == name), None)
+
+
 register_base(BaseFunction(
     tag=IDENTITY,
     func=lambda a: a,
@@ -121,6 +136,7 @@ register_base(BaseFunction(
     limit_at_zero=0.0,
     value_at_one=1.0,
     integral=0.5,
+    symbol="x", literal="trap",
 ))
 
 register_base(BaseFunction(
@@ -131,6 +147,7 @@ register_base(BaseFunction(
     limit_at_zero=0.0,
     value_at_one=1.0,
     integral=2.0 / 3.0,
+    symbol="sqrt(x)", literal="sqrtb",
 ))
 
 # h(alpha) = sqrt(-2 log alpha): decreasing, +inf at 0, 0 at 1.  Inverting a side
@@ -143,6 +160,7 @@ register_base(BaseFunction(
     limit_at_zero=math.inf,
     value_at_one=0.0,
     integral=math.sqrt(math.pi / 2.0),
+    doc_tag="gaussian", symbol="sqrt(-2 log x)", literal="gauss",
 ))
 
 # h(alpha) = log alpha: increasing from -inf to 0; sides invert to exponentials.
@@ -154,4 +172,5 @@ register_base(BaseFunction(
     limit_at_zero=-math.inf,
     value_at_one=0.0,
     integral=-1.0,
+    doc_tag="exponential", symbol="log(x)", literal="expo",
 ))

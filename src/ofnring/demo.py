@@ -63,7 +63,8 @@ def check_one_sided_add() -> tuple[bool, str]:
 def check_gaussian_add() -> tuple[bool, str]:
     z = typed(GAUSSIAN_INVERSE, 0.25, 0, -0.25, 0) \
         + typed(GAUSSIAN_INVERSE, 0.125, 1, -0.125, 1)
-    return _tuples_equal(z, (0.375, 1, -0.375, 1)), f"sum tuple {z.coeffs.as_tuple()}"
+    ok = _tuples_equal(z, (0.375, 1, -0.375, 1)) and z.base == GAUSSIAN_INVERSE
+    return ok, f"sum tuple {z.coeffs.as_tuple()}"
 
 
 def check_ring_axioms() -> tuple[bool, str]:
@@ -118,8 +119,7 @@ def check_trapezoid_product_escape() -> tuple[bool, str]:
           and r.up_rule == piasecki.CONSTANT
           and r.down_fn.coeffs == ((0.0, 2.0, -4.0),)
           and not closed
-          and len(hits) == 2
-          and abs(hits[0] - 0.0) <= 1e-9 and abs(hits[1] - 0.5) <= 1e-9
+          and hits == [0.0, 0.5]
           and r.down_fn.eval(0.0) == 0.0 and r.down_fn.eval(0.5) == 0.0)
     return ok, f"corners {r.corners.as_tuple()}, down side revisits 0 at alpha 0 and 1/2"
 
@@ -136,7 +136,8 @@ def check_corrections() -> tuple[bool, str]:
           and _tuples_equal(s_fixed, (-1, 1, 0, -1)) and propriety.classify(s_fixed).proper
           and _tuples_equal(untwisted, (-2, 1, 2, 3))
           and not propriety.classify(untwisted).proper
-          and _tuples_equal(fell_back, (0, 1, 0, 3)) and label == "fallback")
+          and _tuples_equal(fell_back, (0, 1, 0, 3)) and label == "fallback"
+          and propriety.classify(fell_back).proper)
     if not ok:
         return False, "worked corrections disagree"
     rng = random.Random(_SEED + 1)

@@ -1,7 +1,8 @@
 """JSON document formats and plain-text side rendering.
 
 An OFN document is {"base": tag, "tuple": [up_slope, up_offset, down_slope,
-down_offset]} with document tags identity / sqrt / gaussian / exponential.
+down_offset]}; its tag and the symbol that renders h in a side formula are
+the doc_tag and symbol fields of the base's registry record.
 A graph document is {"nodes": n, "edges": [{"from": u, "to": v,
 "weight": <ofn document>}]}.
 """
@@ -11,21 +12,14 @@ import json
 import math
 from typing import Any
 
-from .bases import GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT
+from .bases import base_named, get_base
 from .errors import DocumentError
 from .pathalgebra import FuzzyDigraph
 from .ring import TypedOfn, typed
 
-DOC_TO_BASE = {"identity": IDENTITY, "sqrt": SQRT,
-               "gaussian": GAUSSIAN_INVERSE, "exponential": LOG}
-BASE_TO_DOC = {v: k for k, v in DOC_TO_BASE.items()}
-
-_H_SYMBOL = {IDENTITY: "x", SQRT: "sqrt(x)",
-             GAUSSIAN_INVERSE: "sqrt(-2 log x)", LOG: "log(x)"}
-
 
 def ofn_to_doc(x: TypedOfn) -> dict[str, Any]:
-    return {"base": BASE_TO_DOC[x.base], "tuple": list(x.coeffs.as_tuple())}
+    return {"base": get_base(x.base).doc_tag, "tuple": list(x.coeffs.as_tuple())}
 
 
 def ofn_from_doc(doc: Any) -> TypedOfn:
@@ -35,23 +29,32 @@ def ofn_from_doc(doc: Any) -> TypedOfn:
     if extra:
         raise DocumentError(f"unexpected keys {sorted(extra)}")
     tag = doc.get("base")
-    if tag not in DOC_TO_BASE:
+    if (b := base_named("doc_tag", tag)) is None:
         raise DocumentError(f"unknown base tag {tag!r}")
     tup = doc.get("tuple")
-    if (not isinstance(tup, list) or len(tup) != 4
-            or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   or not math.isfinite(v) for v in tup)):
+    numbers = isinstance(tup, list) and len(tup) == 4 and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in tup)
+    try:
+        values = [float(v) for v in tup] if numbers else []
+    except OverflowError:  # an integer too large for a float
+        values = []
+    if len(values) != 4 or not all(map(math.isfinite, values)):
         raise DocumentError("tuple must be a list of 4 finite numbers")
-    return typed(DOC_TO_BASE[tag], *map(float, tup))
+    return typed(b.tag, *values)
+
+
+def _load_json(path: str) -> Any:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as e:
+            # ValueError covers malformed JSON, text that is not UTF-8 and
+            # integers longer than the interpreter's digit limit
+            raise DocumentError(f"invalid JSON in {path}: {e}") from e
 
 
 def load_ofn(path: str) -> TypedOfn:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise DocumentError(f"invalid JSON in {path}: {e}") from e
-    return ofn_from_doc(doc)
+    return ofn_from_doc(_load_json(path))
 
 
 def graph_from_doc(doc: Any) -> FuzzyDigraph:
@@ -74,12 +77,7 @@ def graph_from_doc(doc: Any) -> FuzzyDigraph:
 
 
 def load_graph(path: str) -> FuzzyDigraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise DocumentError(f"invalid JSON in {path}: {e}") from e
-    return graph_from_doc(doc)
+    return graph_from_doc(_load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +93,12 @@ def format_number(v: float) -> str:
 def _side_text(base: str, slope: float, offset: float) -> str:
     if slope == 0.0:
         return format_number(offset)
-    sym = _H_SYMBOL[base]
+    sym = get_base(base).symbol
     if slope == 1.0:
         head = sym
     elif slope == -1.0:
         head = f"-{sym}"
-    elif base == IDENTITY:
+    elif len(sym) == 1:  # a bare variable takes its coefficient as 2x
         head = f"{format_number(slope)}{sym}"
     else:
         head = f"{format_number(slope)}*{sym}"

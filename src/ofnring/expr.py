@@ -5,11 +5,12 @@ Grammar (left associative, * / bind tighter than + -):
     expr    := term (('+' | '-') term)*
     term    := factor (('*' | '/') factor)*
     factor  := literal | '(' expr ')'
-    literal := trap(a,b,c,d) | gauss(a,b,c,d) | expo(a,b,c,d) | sqrtb(a,b,c,d)
-             | rect(b1,b2) | crisp(v)
+    literal := NAME(a,b,c,d) | rect(b1,b2) | crisp(v)
 
-Literal arguments are signed decimals.  There is no unary minus at the
-expression level; negate by subtracting from crisp(0) or negating arguments.
+NAME is the `literal` field of a registered base (trap, sqrtb, gauss and expo
+for the shipped four).  Literal arguments are signed decimals.  There is no
+unary minus at the expression level; negate by subtracting from crisp(0) or
+negating arguments.  Parentheses nest at most MAX_DEPTH deep.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import re
 from dataclasses import dataclass
 
 from . import ring
-from .bases import GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT
+from .bases import base_named
 from .errors import ParseError
 from .ring import TypedOfn
 
@@ -25,10 +26,8 @@ _TOKEN = re.compile(r"\s*(?:(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[e
                     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
                     r"|(?P<op>[-+*/(),]))")
 
-_LITERAL_BASES = {"trap": IDENTITY, "gauss": GAUSSIAN_INVERSE,
-                  "expo": LOG, "sqrtb": SQRT}
-_LITERAL_ARITY = {"trap": 4, "gauss": 4, "expo": 4, "sqrtb": 4,
-                  "rect": 2, "crisp": 1}
+_TYPELESS_ARITY = {"rect": 2, "crisp": 1}
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -60,6 +59,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> _Token | None:
         if self.index < len(self.tokens):
@@ -105,8 +105,13 @@ class _Parser:
     def factor(self) -> TypedOfn:
         tok = self.take()
         if tok.text == "(":
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise ParseError(
+                    f"parentheses nest deeper than {MAX_DEPTH}", tok.position)
             value = self.expr()
             self.expect(")")
+            self.depth -= 1
             return value
         if tok.kind == "name":
             return self.literal(tok)
@@ -114,7 +119,8 @@ class _Parser:
                          tok.position)
 
     def literal(self, name: _Token) -> TypedOfn:
-        arity = _LITERAL_ARITY.get(name.text)
+        base = base_named("literal", name.text)
+        arity = 4 if base is not None else _TYPELESS_ARITY.get(name.text)
         if arity is None:
             raise ParseError(f"unknown literal {name.text!r}", name.position)
         self.expect("(")
@@ -123,11 +129,11 @@ class _Parser:
             self.expect(",")
             args.append(self.number())
         self.expect(")")
+        if base is not None:
+            return ring.typed(base.tag, *args)
         if name.text == "crisp":
             return ring.crisp(args[0])
-        if name.text == "rect":
-            return ring.rectangular(args[0], args[1])
-        return ring.typed(_LITERAL_BASES[name.text], *args)
+        return ring.rectangular(args[0], args[1])
 
     def number(self) -> float:
         tok = self.take()

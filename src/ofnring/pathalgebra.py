@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .bases import get_base
-from .errors import DomainError, MixedTypeError, NegativeCycle
-from .ring import TypedOfn, add, rectangular, side_eval
+from .errors import DomainError, NegativeCycle
+from .ring import TypedOfn, _result_base, add, rectangular, side_eval
 
 RankFn = Callable[[TypedOfn], float]
 
@@ -33,14 +33,9 @@ def rank(x: TypedOfn) -> float:
         + 0.5 * (t.up_offset + t.down_offset)
 
 
-def _same_base(x: TypedOfn, y: TypedOfn) -> None:
-    if x.base != y.base and not (x.is_rectangular or y.is_rectangular):
-        raise MixedTypeError(f"cannot order base {x.base!r} against {y.base!r}")
-
-
 def ofn_min(x: TypedOfn, y: TypedOfn, key: RankFn = rank) -> TypedOfn:
     """The operand with the smaller rank; equal ranks fall back to tuple order."""
-    _same_base(x, y)
+    _result_base(x, y)
     kx, ky = key(x), key(y)
     if kx != ky:
         return x if kx < ky else y
@@ -54,7 +49,7 @@ def pointwise_min_report(x: TypedOfn, y: TypedOfn,
     The true pointwise minimum need not be a typed OFN; this is a report, not
     a ring element.
     """
-    _same_base(x, y)
+    _result_base(x, y)
     if grid < 2:
         raise DomainError("grid must have at least 2 points")
     rows = []
@@ -77,17 +72,14 @@ class FuzzyDigraph:
     def __post_init__(self):
         if self.nodes < 1:
             raise DomainError("a digraph needs at least one node")
-        base = None
+        first = None  # the first typed weight fixes the base
         for u, v, w in self.edges:
             if not (0 <= u < self.nodes and 0 <= v < self.nodes):
                 raise DomainError(f"edge ({u}, {v}) leaves the node range")
             if not w.is_rectangular:
-                if base is None:
-                    base = w.base
-                elif base != w.base:
-                    raise MixedTypeError(
-                        f"edge weights mix base {base!r} with {w.base!r}")
-        object.__setattr__(self, "base", base if base is not None else self.base)
+                first = first or w
+                _result_base(first, w)
+        object.__setattr__(self, "base", first.base if first else self.base)
 
 
 @dataclass(frozen=True)

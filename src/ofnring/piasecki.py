@@ -25,7 +25,7 @@ from .bases import IDENTITY
 from .errors import DivisionByZero, DomainError, MixedTypeError
 from .kosinski import (PiecewisePoly, PiecewisePolyOfn, combine_sides,
                        k_is_proper)
-from .ring import TypedOfn
+from .ring import OPERATORS, TypedOfn
 
 CONSTANT = "constant"
 PRODUCT_FORM = "product-form"
@@ -65,18 +65,6 @@ class PiaseckiResult:
         return PiecewisePolyOfn(self.up_fn, self.down_fn)
 
 
-def _star_fn(star: str):
-    if star == "+":
-        return lambda p, q: p + q
-    if star == "-":
-        return lambda p, q: p - q
-    if star == "*":
-        return lambda p, q: p * q
-    if star == "/":
-        return lambda p, q: p / q
-    raise DomainError(f"star must be one of + - * /, got {star!r}")
-
-
 def _side_poly(star: str, xs: tuple[float, float], ys: tuple[float, float]) -> PiecewisePoly:
     """Pointwise star of two affine sides given as (slope, offset)."""
     if star in ("+", "-", "*"):
@@ -93,7 +81,9 @@ def _side_poly(star: str, xs: tuple[float, float], ys: tuple[float, float]) -> P
 
 def p_op(star: str, x: TypedOfn, y: TypedOfn) -> PiaseckiResult:
     """Combine two identity-base trapezoids by the revised corner rules."""
-    op = _star_fn(star)
+    op = OPERATORS.get(star)
+    if op is None:
+        raise DomainError(f"star must be one of + - * /, got {star!r}")
     cx = TrapezoidCorners.from_ofn(x)
     cy = TrapezoidCorners.from_ofn(y)
     if star == "/" and any(v == 0.0 for v in cy.as_tuple()):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bases import get_base
+from .bases import BaseFunction, get_base
 from .errors import DegenerateError, DomainError, ImproperError, WrongPathology
 from .ring import (Interval, Orientation, Side, TypedOfn, level_set,
                    orientation, side_eval, typed)
@@ -45,12 +45,15 @@ def _sign(v: float) -> int:
     return (v > 0) - (v < 0)
 
 
-def _difference_limits(x: TypedOfn) -> tuple[float, float]:
-    """Endpoint limits of down(alpha) - up(alpha) at alpha -> 0 and alpha = 1."""
-    b = get_base(x.base)
-    t = x.coeffs
-    dslope = t.down_slope - t.up_slope
-    doffset = t.down_offset - t.up_offset
+def _gap_limits(b: BaseFunction, dslope: float,
+                doffset: float) -> tuple[float, float]:
+    """Limits at alpha -> 0 and at alpha = 1 of the gap dslope * h + doffset.
+
+    On one base, down - up is affine in h with the coefficient differences.
+    Taking those first makes sides that meet at an endpoint give an exact zero
+    there, not the rounding residue of two separately evaluated sides, so
+    classify and membership_from_sides read the same side order from here.
+    """
     g1 = dslope * b.value_at_one + doffset
     g0 = doffset if dslope == 0.0 else dslope * b.limit_at_zero + doffset
     return g0, g1
@@ -63,7 +66,8 @@ def classify(x: TypedOfn) -> ProprietyReport:
     up_dir = _sign(t.up_slope) * direction
     down_dir = _sign(t.down_slope) * direction
     same_sign = _sign(t.up_slope) == _sign(t.down_slope) != 0
-    g0, g1 = _difference_limits(x)
+    g0, g1 = _gap_limits(b, t.down_slope - t.up_slope,
+                         t.down_offset - t.up_offset)
 
     identical = (t.up_slope == t.down_slope and t.up_offset == t.down_offset)
     if identical:
@@ -190,20 +194,24 @@ def _side_direction(s: Side) -> int:
 
 def membership_from_sides(up: Side, down: Side) -> MembershipFunction:
     """Invert an arbitrary proper side pair (bases may differ per side)."""
-    u0, u1 = up.value_limits()
-    d0, d1 = down.value_limits()
-    if u0 < d0 or (u0 == d0 and u1 <= d1):
-        low, low_limits = up, (u0, u1)
-        high, high_limits = down, (d0, d1)
+    if up.base == down.base:
+        g0, g1 = _gap_limits(get_base(up.base), down.slope - up.slope,
+                             down.offset - up.offset)
     else:
-        low, low_limits = down, (d0, d1)
-        high, high_limits = up, (u0, u1)
+        (u0, u1), (d0, d1) = up.value_limits(), down.value_limits()
+        g0, g1 = (0.0 if d0 == u0 else d0 - u0), d1 - u1
+    if g0 > 0.0 or (g0 == 0.0 and g1 >= 0.0):
+        low, high = up, down
+    else:
+        low, high, g1 = down, up, -g1
     # the lower flank must rise to the core, the upper must fall to it
     if _side_direction(low) < 0 or _side_direction(high) > 0:
         raise ImproperError("side directions do not match the orientation")
-    if low_limits[1] > high_limits[1]:
+    if g1 < 0.0:
         raise ImproperError("sides overlap beyond the core")
-    core = Interval(low_limits[1], high_limits[1])
+    low_limits, high_limits = low.value_limits(), high.value_limits()
+    # at a tie the separately evaluated core ends may cross by rounding
+    core = Interval(*sorted((low_limits[1], high_limits[1])))
     supp = Interval(min(low_limits[0], core.lo), max(high_limits[0], core.hi))
     lower = None
     if low.slope != 0.0:

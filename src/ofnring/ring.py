@@ -22,6 +22,7 @@ construction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -255,6 +256,10 @@ def orientation(x: TypedOfn) -> Orientation:
 # ring operations
 # ---------------------------------------------------------------------------
 
+OPERATORS: dict[str, Callable[[float, float], float]] = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def _result_base(x: TypedOfn, y: TypedOfn) -> str:
     if x.base == y.base:
         return x.base
@@ -279,22 +284,22 @@ def _combine(x: TypedOfn, y: TypedOfn,
 
 
 def add(x: TypedOfn, y: TypedOfn) -> TypedOfn:
-    return _combine(x, y, lambda p, q: p + q)
+    return _combine(x, y, OPERATORS["+"])
 
 
 def sub(x: TypedOfn, y: TypedOfn) -> TypedOfn:
-    return _combine(x, y, lambda p, q: p - q)
+    return _combine(x, y, OPERATORS["-"])
 
 
 def mul(x: TypedOfn, y: TypedOfn) -> TypedOfn:
-    return _combine(x, y, lambda p, q: p * q)
+    return _combine(x, y, OPERATORS["*"])
 
 
 def div(x: TypedOfn, y: TypedOfn) -> TypedOfn:
     if any(c == 0.0 for c in y.coeffs.as_tuple()):
         raise DivisionByZero(
             f"divisor tuple {y.coeffs.as_tuple()} has a zero component")
-    return _combine(x, y, lambda p, q: p / q)
+    return _combine(x, y, OPERATORS["/"])
 
 
 def neg(x: TypedOfn) -> TypedOfn:

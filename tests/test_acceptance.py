@@ -1,9 +1,11 @@
 """The shipped behavior gate: eleven numbered checks, one test each.
 
-Every test prints a `[criterion NN] PASS` or `FAIL` line, so a verbose run
-doubles as a release checklist.  Tolerances are part of the contract: exact
-float equality where the arithmetic is closed over the given inputs, stated
-epsilons everywhere else.
+Criteria 1-7 and 11 run the worked examples of `ofnring.demo.CHECKS`, which
+are written only there; criteria 8-10 are written here.  Every test prints a
+`[criterion NN] PASS` or `FAIL` line, so a verbose run doubles as a release
+checklist.  Tolerances are part of the contract: exact float equality where
+the arithmetic is closed over the given inputs, stated epsilons everywhere
+else.
 """
 from __future__ import annotations
 
@@ -11,20 +13,14 @@ import math
 import random
 from contextlib import contextmanager
 
-from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LRFuzzyNumber, FuzzyDigraph,
-                     PiecewisePolyOfn, Side, add, classify, correct,
-                     correct_type_ii, correct_type_iii, crisp, div, k_op,
-                     level_set, levelset_add, lr_level_set, lr_membership,
-                     from_typed_trapezoid, membership, membership_eval,
-                     membership_from_sides, mul, neg, one, p_closure_check,
-                     p_op, rank, shortest_paths, side_eval, sub, trapezoid,
-                     typed, value_preimages, zadeh_add_grid,
-                     zadeh_mul_levelsets, zero)
+from ofnring import (IDENTITY, LRFuzzyNumber, FuzzyDigraph, Side, add, crisp,
+                     demo, from_typed_trapezoid, levelset_add, lr_level_set,
+                     lr_membership, membership, membership_eval,
+                     membership_from_sides, rank, shortest_paths, side_eval,
+                     trapezoid, zadeh_add_grid, zadeh_mul_levelsets)
 from ofnring.bases import get_base
-from ofnring.cli import main as cli_main
 
-from helpers import (ALL_BASES, assert_tuple, exhaustive_min_paths, ofn_close,
-                     random_any, random_improper, random_proper)
+from helpers import ALL_BASES, exhaustive_min_paths, random_proper
 
 
 @contextmanager
@@ -37,114 +33,46 @@ def criterion(num: int):
     print(f"[criterion {num:02d}] PASS")
 
 
+def _demo_row(number: str) -> None:
+    """Run one worked example of demo.CHECKS, where it is written once."""
+    (label, check), = [(lb, fn) for n, lb, fn in demo.CHECKS if n == number]
+    ok, detail = check()
+    assert ok, f"demo row {number} ({label}): {detail}"
+
+
 def test_criterion_01_trapezoid_ring_ops_exact():
     with criterion(1):
-        a = trapezoid(1, -5, -1, -3)
-        b = trapezoid(1, 5, -1, 3)
-        assert_tuple(add(a, b), (2.0, 0.0, -2.0, 0.0))
-        assert_tuple(sub(a, b), (0.0, -10.0, 0.0, -6.0))
-        assert_tuple(mul(a, b), (1.0, -25.0, 1.0, -9.0))
-        assert_tuple(div(a, b), (1.0, -1.0, 1.0, -1.0))
+        _demo_row("1")
 
 
 def test_criterion_02_one_sided_addition_exact():
     with criterion(2):
-        s = add(trapezoid(0, -1, -1, 0), trapezoid(0, 2, 4, -2))
-        assert_tuple(s, (0.0, 1.0, 3.0, -2.0))
+        _demo_row("2")
 
 
 def test_criterion_03_gaussian_addition_exact():
     with criterion(3):
-        s = add(typed(GAUSSIAN_INVERSE, 0.25, 0, -0.25, 0),
-                typed(GAUSSIAN_INVERSE, 0.125, 1, -0.125, 1))
-        assert_tuple(s, (0.375, 1.0, -0.375, 1.0))
-        assert s.base == GAUSSIAN_INVERSE
+        _demo_row("3")
 
 
 def test_criterion_04_ring_axioms_on_random_tuples():
     with criterion(4):
-        rng = random.Random(20230404)
-        for base in ALL_BASES:
-            zero_el = zero(base)
-            one_el = one(base)
-            for _ in range(10_000):
-                x = random_any(rng, base)
-                y = random_any(rng, base)
-                z = random_any(rng, base)
-                assert add(x, y) == add(y, x)
-                assert mul(x, y) == mul(y, x)
-                assert add(x, zero_el) == x
-                assert mul(x, one_el) == x
-                assert add(x, neg(x)) == zero_el
-                assert ofn_close(add(add(x, y), z), add(x, add(y, z)))
-                assert ofn_close(mul(mul(x, y), z), mul(x, mul(y, z)))
-                assert ofn_close(mul(x, add(y, z)), add(mul(x, y), mul(x, z)))
+        _demo_row("4")
 
 
 def test_criterion_05_componentwise_sum_escapes_propriety():
     with criterion(5):
-        a = trapezoid(1, 0, -1, 2)       # sides (x, 2 - x)
-        b = trapezoid(-2, 1, 0, -3)      # sides (1 - 2x, -3)
-        s = add(a, b)
-        assert_tuple(s, (-1.0, 1.0, -1.0, -1.0))
-
-        ks = k_op("+", PiecewisePolyOfn.from_typed(a),
-                  PiecewisePolyOfn.from_typed(b))
-        assert ks.up.coeffs == ((1.0, -1.0),)
-        assert ks.down.coeffs == ((-1.0, -1.0),)
-
-        rep = classify(s)
-        assert not rep.proper
-        assert rep.pathology == "type-ii"
-
-        core = level_set(s, 1.0)
-        half = level_set(s, 0.5)
-        assert (core.lo, core.hi) == (-2.0, 0.0)
-        assert (half.lo, half.hi) == (-1.5, 0.5)
-        assert not half.encloses(core)
+        _demo_row("5")
 
 
 def test_criterion_06_revised_trapezoid_product_escapes_closure():
     with criterion(6):
-        x = trapezoid(0, -1, -1, 0)
-        y = trapezoid(0, 2, 4, -2)
-        r = p_op("*", x, y)
-        assert r.corners.as_tuple() == (-2.0, -2.0, -2.0, 0.0)
-        assert r.down_fn.coeffs == ((0.0, 2.0, -4.0),)
-        assert p_closure_check(r) is False
-        assert value_preimages(r.down_fn, 0.0) == [0.0, 0.5]
-        assert r.down_fn.eval(0.0) == 0.0
-        assert r.down_fn.eval(0.5) == 0.0
+        _demo_row("6")
 
 
 def test_criterion_07_corrections():
     with criterion(7):
-        y_fixed = correct_type_ii(trapezoid(1, 2, 1, 0))
-        assert_tuple(y_fixed, (0.0, 2.0, 1.0, 0.0))
-        assert classify(y_fixed).proper
-
-        s_fixed = correct_type_ii(trapezoid(-1, 1, -1, -1))
-        assert_tuple(s_fixed, (-1.0, 1.0, 0.0, -1.0))
-        assert classify(s_fixed).proper
-
-        # the twisted case where swapping offsets alone is not a repair
-        twisted = trapezoid(-2, 3, 2, 1)
-        untwisted = correct_type_iii(twisted)
-        assert_tuple(untwisted, (-2.0, 1.0, 2.0, 3.0))
-        assert not classify(untwisted).proper
-        fixed, label = correct(twisted)
-        assert label == "fallback"
-        assert_tuple(fixed, (0.0, 1.0, 0.0, 3.0))
-        assert classify(fixed).proper
-
-        rng = random.Random(20230407)
-        for base in ALL_BASES:
-            for _ in range(10_000):
-                bad = random_improper(rng, base)
-                out, _ = correct(bad)
-                rep = classify(out)
-                assert rep.proper or rep.orientation == "degenerate", \
-                    (base, bad.coeffs.as_tuple())
+        _demo_row("7")
 
 
 def test_criterion_08_membership_round_trip():
@@ -254,13 +182,9 @@ def test_criterion_10_path_algebra_against_slow_oracles():
             assert rank(crisp_res.distances[node]) == dist[node]
 
 
-def test_criterion_11_demo_command(capsys):
+def test_criterion_11_demo_command():
+    # test_cli checks the command's wiring with stub rows; here the gate's
+    # rows are pinned, and row 0, which no criterion above runs, runs once
     with criterion(11):
-        rc = cli_main(["demo"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        rows = [ln for ln in out.splitlines()
-                if " PASS" in ln or " FAIL" in ln]
-        assert all(" PASS" in ln for ln in rows)
-        for item in range(1, 8):
-            assert any(ln.strip().startswith(f"{item} ") for ln in rows), item
+        assert [n for n, _, _ in demo.CHECKS] == [str(k) for k in range(8)]
+        _demo_row("0")

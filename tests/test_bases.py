@@ -6,7 +6,9 @@ from scipy.integrate import quad
 
 from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, BaseFunction,
                      DomainError, RangeError, UnknownBaseError, available_tags,
-                     get_base, register_base)
+                     get_base, parse_expression, register_base, typed)
+from ofnring.bases import _REGISTRY
+from ofnring.documents import ofn_from_doc, ofn_to_doc, render_sides
 
 from helpers import ALL_BASES
 
@@ -167,5 +169,43 @@ def test_register_accepts_valid_power_base():
         assert get_base("cube-root-test") is b
         assert b.inverse(b.value(0.3)) == pytest.approx(0.3, abs=1e-12)
     finally:
-        from ofnring.bases import _REGISTRY
         _REGISTRY.pop("cube-root-test", None)
+
+
+def _cube(tag: str, **names) -> BaseFunction:
+    return BaseFunction(
+        tag=tag, func=lambda a: a ** 3, inverse_func=lambda t: t ** (1 / 3),
+        increasing=True, limit_at_zero=0.0, value_at_one=1.0, integral=0.25,
+        **names)
+
+
+def test_registered_base_is_written_read_and_rendered():
+    register_base(_cube("cube-test"))
+    register_base(_cube("cube-named-test", doc_tag="cubic", symbol="x^3",
+                        literal="cube"))
+    try:
+        x = typed("cube-test", 1, 0, -1, 2)
+        doc = ofn_to_doc(x)
+        assert doc == {"base": "cube-test", "tuple": [1.0, 0.0, -1.0, 2.0]}
+        assert ofn_from_doc(doc) == x
+        assert render_sides(x) == "(cube-test(x), -cube-test(x)+2)"
+
+        y = parse_expression("cube(2,0,-1,2)")
+        assert y == typed("cube-named-test", 2, 0, -1, 2)
+        assert ofn_to_doc(y)["base"] == "cubic"
+        assert ofn_from_doc(ofn_to_doc(y)) == y
+        assert render_sides(y) == "(2*x^3, -x^3+2)"
+    finally:
+        _REGISTRY.pop("cube-test", None)
+        _REGISTRY.pop("cube-named-test", None)
+
+
+@pytest.mark.parametrize("tag,names", [
+    ("taken-doc-tag-test", {"doc_tag": "gaussian"}),
+    ("taken-literal-test", {"literal": "trap"}),
+    ("exponential", {}),  # the doc tag defaults to the tag: the log base's
+])
+def test_register_rejects_taken_document_tag_or_literal(tag, names):
+    with pytest.raises(DomainError):
+        register_base(_cube(tag, **names))
+    assert tag not in available_tags()

@@ -1,11 +1,13 @@
 """End-to-end command tests driving cli.main with argv lists."""
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from ofnring import parse_expression
+import ofnring
+from ofnring import demo, parse_expression
 from ofnring.cli import main
 from ofnring.documents import ofn_from_doc
 
@@ -100,6 +102,26 @@ def test_classify_rejects_malformed_documents(tmp_path, capsys):
     assert main(["classify", "--in", schema]) == 2
     assert main(["classify", "--in", str(tmp_path / "absent.json")]) == 5
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,text", [
+    ("classify", '{"base": "identity", "tuple": [1, ' + "9" * 400 + ', -1, 5]}'),
+    ("classify", '{"base": "identity", "tuple": [1, ' + "9" * 5000 + ', -1, 5]}'),
+    ("classify", "[" * 100_000 + "]" * 100_000),
+    ("eval", "(" * 2000 + "trap(1,0,-1,2)" + ")" * 2000),
+], ids=["int-400-digits", "int-5000-digits", "json-nesting", "deep-parens"])
+def test_oversized_and_deep_inputs_are_exit_2(tmp_path, capsys, command, text):
+    if command == "eval":
+        argv = ["eval", "--expr", text]
+    else:
+        path = tmp_path / "x.json"
+        path.write_text(text, encoding="utf-8")
+        argv = ["classify", "--in", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -247,19 +269,44 @@ def test_graph_error_exit_codes(tmp_path, capsys):
 # demo and process-level entry
 # ---------------------------------------------------------------------------
 
-def test_demo_reports_all_checks_passing(capsys):
+def _stub_rows(*results):
+    """demo.CHECKS rows whose checks return `results` (or raise an exception)."""
+    def check(result):
+        if isinstance(result, Exception):
+            raise result
+        return result
+    return tuple((str(k), f"stub row {k}", lambda r=r: check(r))
+                 for k, r in enumerate(results))
+
+
+# the real rows run once, in test_acceptance; these test the command's wiring
+def test_demo_reports_all_checks_passing(monkeypatch, capsys):
+    monkeypatch.setattr(demo, "CHECKS", _stub_rows((True, "a"), (True, "b")))
     assert main(["demo"]) == 0
     out = capsys.readouterr().out
-    assert out.count(" PASS") == 8
+    assert out.count(" PASS") == 2
     assert "FAIL" not in out
-    assert "8/8 checks passed" in out
+    assert "2/2 checks passed" in out
+
+
+def test_demo_reports_failing_and_crashing_checks(monkeypatch, capsys):
+    monkeypatch.setattr(demo, "CHECKS", _stub_rows(
+        (True, "a"), (False, "wrong"), RuntimeError("boom")))
+    assert main(["demo"]) == 1
+    out = capsys.readouterr().out
+    assert out.count(" PASS") == 1
+    assert out.count(" FAIL") == 2
+    assert "raised RuntimeError: boom" in out
+    assert "1/3 checks passed" in out
 
 
 def test_module_entrypoint_runs_in_a_subprocess():
+    # the child imports the same package as this test, however pytest found it
+    src = os.path.dirname(os.path.dirname(ofnring.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "ofnring", "eval", "--expr",
          "crisp(1) + crisp(2)"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0
     doc = json.loads(proc.stdout.splitlines()[0])
     assert doc == {"base": "identity", "tuple": [0.0, 3.0, 0.0, 3.0]}

@@ -1,0 +1,25 @@
+"""The input boundary: OFN documents and expression text that must be refused."""
+import pytest
+
+from ofnring import DocumentError, ParseError, crisp, parse_expression
+from ofnring.documents import ofn_from_doc
+from ofnring.expr import MAX_DEPTH
+
+
+def test_integer_too_large_for_a_float_is_a_document_error():
+    with pytest.raises(DocumentError):
+        ofn_from_doc({"base": "identity", "tuple": [1, 10 ** 400, -1, 5]})
+
+
+def test_unhashable_base_tag_is_a_document_error():
+    with pytest.raises(DocumentError):
+        ofn_from_doc({"base": ["identity"], "tuple": [1, 0, -1, 2]})
+
+
+def test_parentheses_nest_at_most_max_depth():
+    def nested(depth):
+        return "(" * depth + "crisp(1)" + ")" * depth
+    assert parse_expression(nested(MAX_DEPTH)) == crisp(1)
+    for depth in (MAX_DEPTH + 1, 2000):
+        with pytest.raises(ParseError):
+            parse_expression(nested(depth))

@@ -204,6 +204,21 @@ def test_membership_requires_proper():
         membership_from_sides(Side(IDENTITY, 1.0, 2.0), Side(IDENTITY, 1.0, 0.0))
 
 
+@pytest.mark.parametrize("x", [
+    typed(IDENTITY, 1.3, -1.66, -0.931, 0.571),
+    typed(SQRT, 1.5, -2.3, -0.9, 0.1),
+], ids=[IDENTITY, SQRT])
+def test_membership_accepts_proper_numbers_whose_cores_tie(x):
+    # up(1) = down(1) exactly, but evaluated one by one they round apart
+    assert side_eval(x, "up", 1.0) != side_eval(x, "down", 1.0)
+    assert classify(x).proper
+    m = membership(x)
+    for which in ("up", "down"):
+        assert membership_eval(m, side_eval(x, which, 1.0)) == 1.0
+        v = side_eval(x, which, 0.5)
+        assert abs(membership_eval(m, v) - 0.5) <= 1e-9
+
+
 def test_membership_branch_guard():
     with pytest.raises(DegenerateError):
         MembershipBranch(Side(IDENTITY, 0.0, 1.0), 0.0, 1.0)
