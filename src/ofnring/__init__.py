@@ -20,10 +20,10 @@ from .classical import (LINEAR, LRFuzzyNumber, SpreadFamily,
                         from_typed_trapezoid, levelset_add, lr_level_set,
                         lr_membership, to_typed_trapezoid, zadeh_add_grid,
                         zadeh_mul_levelsets)
-from .errors import (DegenerateError, DegreeCapError, DivisionByZero,
-                     DocumentError, DomainError, FamilyMismatch, ImproperError,
-                     MixedTypeError, NegativeCycle, OfnError, ParseError,
-                     RangeError, UnknownBaseError, WrongPathology)
+from .errors import (ArithmeticOverflow, DegenerateError, DegreeCapError,
+                     DivisionByZero, DocumentError, DomainError, FamilyMismatch,
+                     ImproperError, MixedTypeError, NegativeCycle, OfnError,
+                     ParseError, RangeError, UnknownBaseError, WrongPathology)
 from .expr import parse_expression
 from .kosinski import (FunctionProprietyReport, PiecewisePoly, PiecewisePolyOfn,
                        combine_sides, corresponding_membership, k_is_proper,
@@ -72,5 +72,5 @@ __all__ = [
     "OfnError", "DomainError", "RangeError", "UnknownBaseError",
     "MixedTypeError", "DivisionByZero", "ImproperError", "DegenerateError",
     "WrongPathology", "DegreeCapError", "FamilyMismatch", "NegativeCycle",
-    "ParseError", "DocumentError",
+    "ParseError", "DocumentError", "ArithmeticOverflow",
 ]

@@ -3,7 +3,8 @@
 Commands: eval, classify, correct, sample, plot, graph, demo.  All structured
 output is JSON on stdout (plus a human side-function rendering for eval);
 sample and plot write files.  Exit codes: 0 ok, 2 parse/validation, 3 mixed
-types, 4 math (division by zero, improper inputs, wrong pathology), 5 I/O.
+types, 4 math (division by zero, overflow, improper inputs, wrong pathology),
+5 I/O.
 """
 from __future__ import annotations
 
@@ -14,10 +15,10 @@ from typing import Sequence
 
 from .demo import run_demo
 from .documents import load_graph, load_ofn, ofn_to_doc, render_sides
-from .errors import (DegenerateError, DegreeCapError, DivisionByZero,
-                     DocumentError, DomainError, FamilyMismatch, ImproperError,
-                     MixedTypeError, NegativeCycle, ParseError, RangeError,
-                     UnknownBaseError, WrongPathology)
+from .errors import (ArithmeticOverflow, DegenerateError, DegreeCapError,
+                     DivisionByZero, DocumentError, DomainError, FamilyMismatch,
+                     ImproperError, MixedTypeError, NegativeCycle, ParseError,
+                     RangeError, UnknownBaseError, WrongPathology)
 from .expr import parse_expression
 from .pathalgebra import shortest_paths
 from .propriety import classify, correct
@@ -154,8 +155,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (MixedTypeError, FamilyMismatch) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MIXED
-    except (DivisionByZero, ImproperError, WrongPathology, DegenerateError,
-            DegreeCapError, RangeError, NegativeCycle) as e:
+    except (DivisionByZero, ArithmeticOverflow, ImproperError, WrongPathology,
+            DegenerateError, DegreeCapError, RangeError, NegativeCycle) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MATH
     except OSError as e:

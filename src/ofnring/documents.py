@@ -4,7 +4,8 @@ An OFN document is {"base": tag, "tuple": [up_slope, up_offset, down_slope,
 down_offset]}; its tag and the symbol that renders h in a side formula are
 the doc_tag and symbol fields of the base's registry record.
 A graph document is {"nodes": n, "edges": [{"from": u, "to": v,
-"weight": <ofn document>}]}.
+"weight": <ofn document>}]}, with n at most MAX_NODES: a shortest-path run
+allocates a distance and a predecessor slot per node.
 """
 from __future__ import annotations
 
@@ -16,6 +17,8 @@ from .bases import base_named, get_base
 from .errors import DocumentError
 from .pathalgebra import FuzzyDigraph
 from .ring import TypedOfn, typed
+
+MAX_NODES = 10**6
 
 
 def ofn_to_doc(x: TypedOfn) -> dict[str, Any]:
@@ -61,6 +64,8 @@ def graph_from_doc(doc: Any) -> FuzzyDigraph:
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), int) \
             or isinstance(doc.get("nodes"), bool):
         raise DocumentError('graph document needs an integer "nodes" field')
+    if doc["nodes"] > MAX_NODES:
+        raise DocumentError(f'"nodes" exceeds the cap of {MAX_NODES}')
     edges_doc = doc.get("edges")
     if not isinstance(edges_doc, list):
         raise DocumentError('graph document needs an "edges" list')

@@ -13,6 +13,10 @@ class DomainError(OfnError):
     """An argument is outside the function's domain (alpha, grids, corners)."""
 
 
+class ArithmeticOverflow(OfnError):
+    """A ring operation on finite tuples produced a component beyond float range."""
+
+
 class RangeError(OfnError):
     """An inverse was queried outside the closure of the function's range."""
 

@@ -12,7 +12,8 @@ is deliberately absent: quotients of polynomials leave the representation.
 
 k_is_proper re-derives propriety analytically: side monotonicity from
 derivative sign analysis and dominance from the extrema of the difference,
-with roots isolated by sign-change bisection (1024 initial cells per piece).
+with no sampling: the roots of a piece are isolated between the roots of its
+derivative, found the same way, and each is then pinned down by bisection.
 """
 from __future__ import annotations
 
@@ -25,8 +26,6 @@ from .errors import DegreeCapError, DomainError, MixedTypeError
 from .ring import TypedOfn
 
 MAX_DEGREE = 8
-_CELLS = 1024
-_ROOT_WIDTH = 1e-12
 
 
 def _poly_eval(coeffs: tuple[float, ...], t: float) -> float:
@@ -213,9 +212,10 @@ def k_scalar(r: float, x: PiecewisePolyOfn) -> PiecewisePolyOfn:
 # ---------------------------------------------------------------------------
 
 def _bisect_root(p: tuple[float, ...], lo: float, hi: float) -> float:
+    """The root of p in [lo, hi], where p(lo) and p(hi) differ in sign."""
     flo = _poly_eval(p, lo)
-    while hi - lo > _ROOT_WIDTH:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         fmid = _poly_eval(p, mid)
         if fmid == 0.0:
             return mid
@@ -223,32 +223,35 @@ def _bisect_root(p: tuple[float, ...], lo: float, hi: float) -> float:
             hi = mid
         else:
             lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
-def _sign_change_roots(p: tuple[float, ...], lo: float, hi: float) -> list[float]:
-    """Roots of p in [lo, hi] found by cell sampling plus bisection."""
+def _roots(p: tuple[float, ...], lo: float, hi: float) -> list[float]:
+    """Every root of p in [lo, hi], ascending.
+
+    Between neighbouring roots of p', p is monotone, so it changes sign at
+    most once there; the recursion on p' ends at a constant, at most MAX_DEGREE
+    levels down.
+    """
     p = _poly_trim(p)
     if len(p) == 1:
         return []
-    step = (hi - lo) / _CELLS
+    knots = [lo, *_roots(_poly_deriv(p), lo, hi), hi]
+    values = [_poly_eval(p, t) for t in knots]
     roots: list[float] = []
-    prev_t, prev_v = lo, _poly_eval(p, lo)
-    if prev_v == 0.0:
-        roots.append(lo)
-    for k in range(1, _CELLS + 1):
-        t = hi if k == _CELLS else lo + k * step
-        v = _poly_eval(p, t)
-        if v == 0.0:
-            roots.append(t)
-        elif prev_v != 0.0 and (prev_v < 0.0) != (v < 0.0):
-            roots.append(_bisect_root(p, prev_t, t))
-        prev_t, prev_v = t, v
+    for a, b, fa, fb in zip(knots, knots[1:], values, values[1:]):
+        if fa == 0.0:
+            roots.append(a)
+        elif fb != 0.0 and (fa < 0.0) != (fb < 0.0):
+            roots.append(_bisect_root(p, a, b))
+    if values[-1] == 0.0:
+        roots.append(hi)
     return roots
 
 
 def _extrema(p: tuple[float, ...], lo: float, hi: float) -> list[float]:
-    return _sign_change_roots(_poly_deriv(p), lo, hi)
+    return _roots(_poly_deriv(p), lo, hi)
 
 
 def _piece_min(p: tuple[float, ...], lo: float, hi: float) -> float:
@@ -265,20 +268,16 @@ def _direction(pp: PiecewisePoly) -> str:
     tol = 1e-12 * _coeff_scale(pp)
     rising = falling = False
     for (lo, hi), p in zip(zip(pp.breaks, pp.breaks[1:]), pp.coeffs):
-        d = _poly_trim(_poly_deriv(p))
-        if d == (0.0,):
-            continue
-        n = 64 if _poly_degree(d) <= 1 else _CELLS
-        for k in range(n + 1):
-            v = _poly_eval(d, lo + (hi - lo) * k / n)
+        d = _poly_deriv(p)
+        knots = [lo, *_roots(d, lo, hi), hi]
+        for a, b in zip(knots, knots[1:]):
+            v = _poly_eval(d, 0.5 * (a + b))
             if v > tol:
                 rising = True
             elif v < -tol:
                 falling = True
         if rising and falling:
             return "mixed"
-    if rising and falling:
-        return "mixed"
     if rising:
         return "inc"
     if falling:
@@ -345,7 +344,7 @@ def value_preimages(pp: PiecewisePoly, v: float) -> list[float]:
         if shifted == (0.0,):
             out.extend((lo, hi))
             continue
-        out.extend(_sign_change_roots(shifted, lo, hi))
+        out.extend(_roots(shifted, lo, hi))
         for t in _extrema(p, lo, hi):
             if abs(_poly_eval(p, t) - v) <= 1e-11:
                 out.append(t)

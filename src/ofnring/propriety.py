@@ -45,6 +45,11 @@ def _sign(v: float) -> int:
     return (v > 0) - (v < 0)
 
 
+def _side_direction(s: Side) -> int:
+    b = get_base(s.base)
+    return _sign(s.slope) * (1 if b.increasing else -1)
+
+
 def _gap_limits(b: BaseFunction, dslope: float,
                 doffset: float) -> tuple[float, float]:
     """Limits at alpha -> 0 and at alpha = 1 of the gap dslope * h + doffset.
@@ -110,11 +115,15 @@ def _require(x: TypedOfn, wanted: str) -> ProprietyReport:
 
 
 def correct_type_ii(x: TypedOfn) -> TypedOfn:
-    """Replace the side that fights the orientation by its constant offset."""
+    """Replace the side that fights the orientation by its constant offset.
+
+    Both sides move the same way as alpha rises (slope sign times the base's
+    direction); an increasing number keeps the side that rises, a decreasing
+    one the side that falls.
+    """
     rep = _require(x, PATHOLOGY_II)
     t = x.coeffs
-    sgn = _sign(t.up_slope)
-    keep_up = (rep.orientation == "increasing") == (sgn > 0)
+    keep_up = (rep.orientation == "increasing") == (_side_direction(x.up_side()) > 0)
     if keep_up:
         return typed(x.base, t.up_slope, t.up_offset, 0.0, t.down_offset)
     return typed(x.base, 0.0, t.up_offset, t.down_slope, t.down_offset)
@@ -185,11 +194,6 @@ class MembershipFunction:
     upper: MembershipBranch | None
     core: Interval
     support: Interval
-
-
-def _side_direction(s: Side) -> int:
-    b = get_base(s.base)
-    return _sign(s.slope) * (1 if b.increasing else -1)
 
 
 def membership_from_sides(up: Side, down: Side) -> MembershipFunction:

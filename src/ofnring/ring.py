@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 from .bases import IDENTITY, BaseFunction, get_base
-from .errors import DivisionByZero, DomainError, MixedTypeError
+from .errors import ArithmeticOverflow, DivisionByZero, DomainError, MixedTypeError
 
 SideName = Literal["up", "down"]
 
@@ -276,11 +276,15 @@ def _combine(x: TypedOfn, y: TypedOfn,
              op: Callable[[float, float], float]) -> TypedOfn:
     base = _result_base(x, y)
     a, b = x.coeffs, y.coeffs
-    return typed(base,
-                 op(a.up_slope, b.up_slope),
-                 op(a.up_offset, b.up_offset),
-                 op(a.down_slope, b.down_slope),
-                 op(a.down_offset, b.down_offset))
+    try:
+        return typed(base,
+                     op(a.up_slope, b.up_slope),
+                     op(a.up_offset, b.up_offset),
+                     op(a.down_slope, b.down_slope),
+                     op(a.down_offset, b.down_offset))
+    except DomainError as e:
+        # finite operands and a nonzero divisor: only overflow gets here
+        raise ArithmeticOverflow(f"overflow: {e}") from None
 
 
 def add(x: TypedOfn, y: TypedOfn) -> TypedOfn:
@@ -311,5 +315,8 @@ def scalar_mul(r: float, x: TypedOfn) -> TypedOfn:
     if not math.isfinite(r):
         raise DomainError(f"scalar must be finite, got {r!r}")
     t = x.coeffs
-    return typed(x.base, r * t.up_slope, r * t.up_offset,
-                 r * t.down_slope, r * t.down_offset)
+    try:
+        return typed(x.base, r * t.up_slope, r * t.up_offset,
+                     r * t.down_slope, r * t.down_offset)
+    except DomainError as e:
+        raise ArithmeticOverflow(f"overflow: {e}") from None

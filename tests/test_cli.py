@@ -56,6 +56,11 @@ def test_eval_division_by_zero_is_exit_4():
     assert main(["eval", "--expr", "trap(1,0,-1,2) / crisp(0)"]) == 4
 
 
+def test_eval_overflow_is_exit_4(capsys):
+    assert main(["eval", "--expr", "trap(1e200,0,1,1)*trap(1e200,0,1,1)"]) == 4
+    assert capsys.readouterr().err.startswith("error: overflow")
+
+
 # ---------------------------------------------------------------------------
 # classify / correct
 # ---------------------------------------------------------------------------
@@ -260,6 +265,9 @@ def test_graph_error_exit_codes(tmp_path, capsys):
                    graph_doc((0, 1, {"base": "identity",
                                      "tuple": [1, 0, -1, 2]})))
     assert main(["graph", "--edges", ok, "--source", "9"]) == 2
+    # refused at the document, before a slot per node is allocated
+    huge = write_doc(tmp_path, "huge.json", graph_doc(nodes=10**12))
+    assert main(["graph", "--edges", huge, "--source", "0"]) == 2
     assert main(["graph", "--edges", str(tmp_path / "nope.json"),
                  "--source", "0"]) == 5
     capsys.readouterr()

@@ -2,7 +2,7 @@
 import pytest
 
 from ofnring import DocumentError, ParseError, crisp, parse_expression
-from ofnring.documents import ofn_from_doc
+from ofnring.documents import MAX_NODES, graph_from_doc, ofn_from_doc
 from ofnring.expr import MAX_DEPTH
 
 
@@ -23,3 +23,10 @@ def test_parentheses_nest_at_most_max_depth():
     for depth in (MAX_DEPTH + 1, 2000):
         with pytest.raises(ParseError):
             parse_expression(nested(depth))
+
+
+def test_graph_nodes_are_capped():
+    assert graph_from_doc({"nodes": MAX_NODES, "edges": []}).nodes == MAX_NODES
+    for nodes in (MAX_NODES + 1, 10**12):
+        with pytest.raises(DocumentError):
+            graph_from_doc({"nodes": nodes, "edges": []})

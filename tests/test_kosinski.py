@@ -175,6 +175,17 @@ def test_nonmonotone_down_side_reported():
     assert rep.violation == "down-not-monotonic"
 
 
+def test_side_that_dips_between_close_turning_points_is_not_monotonic():
+    # (x - a)^3 / 3 - e^2 x falls on (a - e, a + e): both turning points lie
+    # within a thousandth of each other
+    a, e = 0.5003, 1e-4
+    cube = (-a ** 3 / 3, a * a, -a, 1 / 3)
+    up = PiecewisePoly((0.0, 1.0), ((cube[0], cube[1] - e * e, cube[2], cube[3]),))
+    rep = k_is_proper(PiecewisePolyOfn(up, PiecewisePoly.affine(-1.0, 5.0)))
+    assert not rep.proper
+    assert rep.violation == "up-not-monotonic"
+
+
 def test_random_proper_identity_numbers_pass():
     rng = random.Random(29)
     for orient in ("increasing", "decreasing"):
@@ -202,6 +213,14 @@ def test_value_preimages_quadratic_touch_and_cross():
     touch = value_preimages(p, 0.125)                    # vertex value
     assert len(touch) == 1
     assert abs(touch[0] - 0.25) <= 1e-9
+
+
+def test_value_preimages_finds_roots_a_ten_thousandth_apart():
+    p = PiecewisePoly((0.0, 1.0), ((0.3 * 0.3001, -0.6001, 1.0),))  # (x-0.3)(x-0.3001)
+    roots = value_preimages(p, 0.0)
+    assert len(roots) == 2
+    assert abs(roots[0] - 0.3) <= 1e-12
+    assert abs(roots[1] - 0.3001) <= 1e-12
 
 
 def test_value_preimages_constant_piece_reports_both_ends():

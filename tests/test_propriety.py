@@ -4,12 +4,14 @@ import random
 
 import pytest
 
-from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, DegenerateError,
-                     DomainError, ImproperError, MembershipBranch, Side,
-                     WrongPathology, classify, correct, correct_combined,
-                     correct_type_ii, correct_type_iii, membership,
-                     membership_eval, membership_from_sides, nesting_violation,
-                     rectangular, side_eval, trapezoid, typed)
+from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, BaseFunction,
+                     DegenerateError, DomainError, ImproperError,
+                     MembershipBranch, Side, WrongPathology, classify, correct,
+                     correct_combined, correct_type_ii, correct_type_iii,
+                     get_base, membership, membership_eval,
+                     membership_from_sides, nesting_violation, rectangular,
+                     register_base, side_eval, trapezoid, typed)
+from ofnring.bases import _REGISTRY
 
 from helpers import ALL_BASES, BOUNDED_BASES, assert_tuple, random_improper, random_proper
 
@@ -86,6 +88,73 @@ def test_correct_type_ii_keeps_the_orientation_side():
     assert_tuple(correct_type_ii(trapezoid(-1, 1, -1, -1)), (-1, 1, 0, -1))
     assert classify(correct_type_ii(trapezoid(1, 2, 1, 0))).proper
     assert classify(correct_type_ii(trapezoid(-1, 1, -1, -1))).proper
+
+
+# a registered base that, like gaussian-inverse, decreases, but stays bounded
+ONE_MINUS_CUBE = "one-minus-cube-test"
+
+
+@pytest.fixture
+def one_minus_cube():
+    register_base(BaseFunction(
+        tag=ONE_MINUS_CUBE, func=lambda a: 1.0 - a ** 3,
+        inverse_func=lambda t: (1.0 - t) ** (1 / 3), increasing=False,
+        limit_at_zero=1.0, value_at_one=0.0, integral=0.75))
+    try:
+        yield ONE_MINUS_CUBE
+    finally:
+        _REGISTRY.pop(ONE_MINUS_CUBE, None)
+
+
+@pytest.mark.parametrize("base,tup,want", [
+    (IDENTITY, (1, 2, 1, 0), (0, 2, 1, 0)),
+    (SQRT, (1, 2, 1, 0), (0, 2, 1, 0)),
+    (LOG, (1, 5, 2, 0), (0, 5, 2, 0)),
+    (GAUSSIAN_INVERSE, (1, 0, 2, 5), (0, 0, 2, 5)),  # both sides fall
+    (ONE_MINUS_CUBE, (1, 0, 2, 5), (0, 0, 2, 5)),
+])
+def test_type_ii_repair_keeps_the_side_whose_direction_fits(one_minus_cube,
+                                                            base, tup, want):
+    x = typed(base, *tup)
+    assert correct(x) == (typed(base, *want), "ii")
+
+
+@pytest.mark.parametrize("base", ALL_BASES + (ONE_MINUS_CUBE,))
+def test_type_ii_repair_keeps_a_flank_of_the_orientation(one_minus_cube, base):
+    # an increasing number's up side rises and its down side falls; a
+    # decreasing number's sides do the opposite
+    rng = random.Random(5)
+    direction = 1 if get_base(base).increasing else -1
+    repaired = 0
+    while repaired < 200:
+        x = typed(base, *(rng.uniform(-10, 10) for _ in range(4)))
+        rep = classify(x)
+        if rep.pathology != "type-ii":
+            continue
+        fixed = correct_type_ii(x).coeffs
+        kept_up = fixed.down_slope == 0.0
+        slope = fixed.up_slope if kept_up else fixed.down_slope
+        moves = direction * ((slope > 0) - (slope < 0))
+        want = 1 if (rep.orientation == "increasing") == kept_up else -1
+        assert moves == want, x
+        repaired += 1
+
+
+@pytest.mark.parametrize("base", ALL_BASES + (ONE_MINUS_CUBE,))
+def test_type_iii_repair_swaps_offsets_on_every_base(one_minus_cube, base):
+    rng = random.Random(13)
+    repaired = 0
+    while repaired < 100:
+        x = typed(base, *(rng.uniform(-10, 10) for _ in range(4)))
+        if classify(x).pathology != "type-iii":
+            continue
+        t = x.coeffs
+        assert_tuple(correct_type_iii(x),
+                     (t.up_slope, t.down_offset, t.down_slope, t.up_offset))
+        fixed, label = correct(x)
+        assert label in ("iii", "fallback")
+        assert classify(fixed).proper
+        repaired += 1
 
 
 def test_correct_type_iii_swaps_offsets():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, DivisionByZero,
-                     DomainError, EssentialTuple, Interval, MixedTypeError,
+from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, ArithmeticOverflow,
+                     DivisionByZero, DomainError, EssentialTuple, Interval, MixedTypeError,
                      Side, UnknownBaseError, add, crisp, div, level_set,
                      level_set_of_sides, mul, neg, one, orientation,
                      rectangular, scalar_mul, side_eval, sign_class, sub,
@@ -174,6 +174,18 @@ def test_division_strictness():
         div(zero(IDENTITY), zero(IDENTITY))
     with pytest.raises(ZeroDivisionError):
         div(x, zero(IDENTITY))
+
+
+def test_overflow_is_an_arithmetic_error_not_a_domain_error():
+    big = trapezoid(1e200, 0, 1, 1)
+    huge = trapezoid(1e308, 1, 1, 1)
+    for op, x, y in ((mul, big, big), (add, huge, huge), (sub, huge, neg(huge)),
+                     (div, big, trapezoid(1e-200, 1, 1, 1))):
+        with pytest.raises(ArithmeticOverflow):
+            op(x, y)
+    with pytest.raises(ArithmeticOverflow):
+        scalar_mul(1e200, big)
+    assert not issubclass(ArithmeticOverflow, DomainError)
 
 
 def test_scalar_mul_scales_whole_tuple():
