@@ -227,17 +227,25 @@ def _bisect_root(p: tuple[float, ...], lo: float, hi: float) -> float:
     return mid
 
 
+def _knots(p: tuple[float, ...], lo: float, hi: float) -> list[float]:
+    """[lo, *roots of p' in [lo, hi], hi]: p is monotone between neighbours."""
+    return [lo, *_roots(_poly_deriv(p), lo, hi), hi]
+
+
 def _roots(p: tuple[float, ...], lo: float, hi: float) -> list[float]:
     """Every root of p in [lo, hi], ascending.
 
-    Between neighbouring roots of p', p is monotone, so it changes sign at
-    most once there; the recursion on p' ends at a constant, at most MAX_DEGREE
-    levels down.
+    The recursion on p' ends at a constant, at most MAX_DEGREE levels down.
     """
     p = _poly_trim(p)
     if len(p) == 1:
         return []
-    knots = [lo, *_roots(_poly_deriv(p), lo, hi), hi]
+    return _sign_changes(p, _knots(p, lo, hi))
+
+
+def _sign_changes(p: tuple[float, ...], knots: list[float]) -> list[float]:
+    """The roots of p, given knots between which p is monotone, so that it
+    changes sign at most once between neighbours."""
     values = [_poly_eval(p, t) for t in knots]
     roots: list[float] = []
     for a, b, fa, fb in zip(knots, knots[1:], values, values[1:]):
@@ -246,17 +254,12 @@ def _roots(p: tuple[float, ...], lo: float, hi: float) -> list[float]:
         elif fb != 0.0 and (fa < 0.0) != (fb < 0.0):
             roots.append(_bisect_root(p, a, b))
     if values[-1] == 0.0:
-        roots.append(hi)
+        roots.append(knots[-1])
     return roots
 
 
-def _extrema(p: tuple[float, ...], lo: float, hi: float) -> list[float]:
-    return _roots(_poly_deriv(p), lo, hi)
-
-
 def _piece_min(p: tuple[float, ...], lo: float, hi: float) -> float:
-    cands = [lo, hi] + _extrema(p, lo, hi)
-    return min(_poly_eval(p, t) for t in cands)
+    return min(_poly_eval(p, t) for t in _knots(p, lo, hi))
 
 
 def _coeff_scale(pp: PiecewisePoly) -> float:
@@ -269,7 +272,7 @@ def _direction(pp: PiecewisePoly) -> str:
     rising = falling = False
     for (lo, hi), p in zip(zip(pp.breaks, pp.breaks[1:]), pp.coeffs):
         d = _poly_deriv(p)
-        knots = [lo, *_roots(d, lo, hi), hi]
+        knots = _knots(p, lo, hi)
         for a, b in zip(knots, knots[1:]):
             v = _poly_eval(d, 0.5 * (a + b))
             if v > tol:
@@ -344,10 +347,11 @@ def value_preimages(pp: PiecewisePoly, v: float) -> list[float]:
         if shifted == (0.0,):
             out.extend((lo, hi))
             continue
-        out.extend(_roots(shifted, lo, hi))
-        for t in _extrema(p, lo, hi):
-            if abs(_poly_eval(p, t) - v) <= 1e-11:
-                out.append(t)
+        # p - v has the same derivative, hence the same knots, as p; a
+        # tangency that rounding keeps off zero shows at an interior knot
+        knots = _knots(p, lo, hi)
+        out.extend(_sign_changes(shifted, knots))
+        out.extend(t for t in knots[1:-1] if abs(_poly_eval(p, t) - v) <= 1e-11)
     out.sort()
     dedup: list[float] = []
     for t in out:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from .bases import BaseFunction, get_base
 from .errors import DegenerateError, DomainError, ImproperError, WrongPathology
-from .ring import (Interval, Orientation, Side, TypedOfn, level_set,
-                   orientation, side_eval, typed)
+from .ring import (Interval, Orientation, Side, TypedOfn, _gap, _result,
+                   _up_is_low, level_set, orientation, side_eval, typed)
 
 PATHOLOGY_NONE = "none"
 PATHOLOGY_II = "type-ii"
@@ -41,38 +41,18 @@ class ProprietyReport:
     pathology: str
 
 
-def _sign(v: float) -> int:
-    return (v > 0) - (v < 0)
-
-
-def _side_direction(s: Side) -> int:
-    b = get_base(s.base)
-    return _sign(s.slope) * (1 if b.increasing else -1)
-
-
-def _gap_limits(b: BaseFunction, dslope: float,
-                doffset: float) -> tuple[float, float]:
-    """Limits at alpha -> 0 and at alpha = 1 of the gap dslope * h + doffset.
-
-    On one base, down - up is affine in h with the coefficient differences.
-    Taking those first makes sides that meet at an endpoint give an exact zero
-    there, not the rounding residue of two separately evaluated sides, so
-    classify and membership_from_sides read the same side order from here.
-    """
-    g1 = dslope * b.value_at_one + doffset
-    g0 = doffset if dslope == 0.0 else dslope * b.limit_at_zero + doffset
-    return g0, g1
+def _direction(b: BaseFunction, slope: float) -> int:
+    """Which way a side moves as alpha rises: slope sign times base direction."""
+    sign = (slope > 0.0) - (slope < 0.0)
+    return sign if b.increasing else -sign
 
 
 def classify(x: TypedOfn) -> ProprietyReport:
     b = get_base(x.base)
     t = x.coeffs
-    direction = 1 if b.increasing else -1
-    up_dir = _sign(t.up_slope) * direction
-    down_dir = _sign(t.down_slope) * direction
-    same_sign = _sign(t.up_slope) == _sign(t.down_slope) != 0
-    g0, g1 = _gap_limits(b, t.down_slope - t.up_slope,
-                         t.down_offset - t.up_offset)
+    up_dir, down_dir = _direction(b, t.up_slope), _direction(b, t.down_slope)
+    same_sign = up_dir == down_dir != 0
+    g0, g1 = _gap(b, t.up_slope, t.up_offset, t.down_slope, t.down_offset)
 
     identical = (t.up_slope == t.down_slope and t.up_offset == t.down_offset)
     if identical:
@@ -114,6 +94,24 @@ def _require(x: TypedOfn, wanted: str) -> ProprietyReport:
     return rep
 
 
+def _keep_one_flank(x: TypedOfn, rep: ProprietyReport) -> TypedOfn:
+    b = get_base(x.base)
+    t = x.coeffs
+    if (rep.orientation == "increasing") == (_direction(b, t.up_slope) > 0):
+        return typed(x.base, t.up_slope, t.up_offset, 0.0, t.down_offset)
+    return typed(x.base, 0.0, t.up_offset, t.down_slope, t.down_offset)
+
+
+def _swap_offsets(x: TypedOfn, rep: ProprietyReport) -> TypedOfn:
+    t = x.coeffs
+    return typed(x.base, t.up_slope, t.down_offset, t.down_slope, t.up_offset)
+
+
+def _collapse(x: TypedOfn, rep: ProprietyReport) -> TypedOfn:
+    return _result(x.base, 0.0, side_eval(x, "up", 1.0),
+                   0.0, side_eval(x, "down", 1.0))
+
+
 def correct_type_ii(x: TypedOfn) -> TypedOfn:
     """Replace the side that fights the orientation by its constant offset.
 
@@ -121,29 +119,25 @@ def correct_type_ii(x: TypedOfn) -> TypedOfn:
     direction); an increasing number keeps the side that rises, a decreasing
     one the side that falls.
     """
-    rep = _require(x, PATHOLOGY_II)
-    t = x.coeffs
-    keep_up = (rep.orientation == "increasing") == (_side_direction(x.up_side()) > 0)
-    if keep_up:
-        return typed(x.base, t.up_slope, t.up_offset, 0.0, t.down_offset)
-    return typed(x.base, 0.0, t.up_offset, t.down_slope, t.down_offset)
+    return _keep_one_flank(x, _require(x, PATHOLOGY_II))
 
 
 def correct_type_iii(x: TypedOfn) -> TypedOfn:
     """Untwist by exchanging the constant terms of the two sides."""
-    _require(x, PATHOLOGY_III)
-    t = x.coeffs
-    return typed(x.base, t.up_slope, t.down_offset, t.down_slope, t.up_offset)
-
-
-def _collapse(x: TypedOfn) -> TypedOfn:
-    return typed(x.base, 0.0, side_eval(x, "up", 1.0), 0.0, side_eval(x, "down", 1.0))
+    return _swap_offsets(x, _require(x, PATHOLOGY_III))
 
 
 def correct_combined(x: TypedOfn) -> TypedOfn:
     """Collapse both sides to their core values (a rectangular number)."""
-    _require(x, PATHOLOGY_COMBINED)
-    return _collapse(x)
+    return _collapse(x, _require(x, PATHOLOGY_COMBINED))
+
+
+# pathology -> (label, repair); a repair takes the number and its report
+_REPAIRS = {
+    PATHOLOGY_II: ("ii", _keep_one_flank),
+    PATHOLOGY_III: ("iii", _swap_offsets),
+    PATHOLOGY_COMBINED: ("combined", _collapse),
+}
 
 
 def correct(x: TypedOfn) -> tuple[TypedOfn, str]:
@@ -154,16 +148,12 @@ def correct(x: TypedOfn) -> tuple[TypedOfn, str]:
     rectangular collapse of the original was used instead.
     """
     rep = classify(x)
-    if rep.pathology == PATHOLOGY_NONE:
+    if rep.proper:
         return x, "none"
-    if rep.pathology == PATHOLOGY_II:
-        fixed, label = correct_type_ii(x), "ii"
-    elif rep.pathology == PATHOLOGY_III:
-        fixed, label = correct_type_iii(x), "iii"
-    else:
-        fixed, label = correct_combined(x), "combined"
+    label, repair = _REPAIRS[rep.pathology]
+    fixed = repair(x, rep)
     if not classify(fixed).proper:
-        return _collapse(x), "fallback"
+        return _collapse(x, rep), "fallback"
     return fixed, label
 
 
@@ -198,18 +188,18 @@ class MembershipFunction:
 
 def membership_from_sides(up: Side, down: Side) -> MembershipFunction:
     """Invert an arbitrary proper side pair (bases may differ per side)."""
-    if up.base == down.base:
-        g0, g1 = _gap_limits(get_base(up.base), down.slope - up.slope,
-                             down.offset - up.offset)
+    ub, db = get_base(up.base), get_base(down.base)
+    if ub is db:
+        g0, g1 = _gap(ub, up.slope, up.offset, down.slope, down.offset)
     else:
         (u0, u1), (d0, d1) = up.value_limits(), down.value_limits()
         g0, g1 = (0.0 if d0 == u0 else d0 - u0), d1 - u1
-    if g0 > 0.0 or (g0 == 0.0 and g1 >= 0.0):
-        low, high = up, down
+    if _up_is_low(g0, g1):
+        low, high, lb, hb = up, down, ub, db
     else:
-        low, high, g1 = down, up, -g1
+        low, high, lb, hb, g1 = down, up, db, ub, -g1
     # the lower flank must rise to the core, the upper must fall to it
-    if _side_direction(low) < 0 or _side_direction(high) > 0:
+    if _direction(lb, low.slope) < 0 or _direction(hb, high.slope) > 0:
         raise ImproperError("side directions do not match the orientation")
     if g1 < 0.0:
         raise ImproperError("sides overlap beyond the core")
@@ -227,9 +217,11 @@ def membership_from_sides(up: Side, down: Side) -> MembershipFunction:
 
 
 def membership(x: TypedOfn) -> MembershipFunction:
-    """Membership function of a proper typed OFN (ImproperError otherwise)."""
-    if not classify(x).proper:
-        raise ImproperError("membership inversion requires a proper number")
+    """Membership function of a proper typed OFN (ImproperError otherwise).
+
+    membership_from_sides reads the same side order as classify, so it
+    rejects exactly the numbers classify calls improper.
+    """
     return membership_from_sides(x.up_side(), x.down_side())
 
 

@@ -16,8 +16,10 @@ operands of any base and the result adopts the typed operand's base.  Mixing
 two genuinely typed bases raises MixedTypeError.
 
 Side values at alpha=0 may be infinite for unbounded bases; infinities are
-ordinary signed floats here, never sentinels, and 0 * inf is avoided by
-construction.
+ordinary signed floats here, never sentinels.  Side values and the side order
+never form 0 * inf or inf - inf: a side with slope 0 is its offset at every
+alpha, and the gap between the sides is taken from halved coefficients when a
+difference would overflow.
 """
 from __future__ import annotations
 
@@ -221,35 +223,36 @@ def sign_class(x: TypedOfn) -> SignClass:
     return "neither"
 
 
-def orientation(x: TypedOfn) -> Orientation:
-    """Which way the number points, decided by the side order near alpha=0.
+def _gap(b: BaseFunction, up_slope: float, up_offset: float,
+         down_slope: float, down_offset: float) -> tuple[float, float]:
+    """The gap down - up at alpha -> 0 and at alpha = 1 (halved if it overflows).
 
-    For unbounded bases the order near 0 is decided by the slope coefficients
-    (ties by offsets); for bounded bases by the side values at alpha=0, with
-    ties broken at alpha=1.  Identical sides are degenerate.
+    Taking the coefficient differences first makes sides that meet at an
+    endpoint give an exact zero there.  Halving is exact for floats large
+    enough to overflow a difference, and their halves differ by a finite amount.
     """
+    slope, offset = down_slope - up_slope, down_offset - up_offset
+    if math.isinf(slope) or math.isinf(offset):
+        slope = 0.5 * down_slope - 0.5 * up_slope
+        offset = 0.5 * down_offset - 0.5 * up_offset
+    g1 = slope * b.value_at_one + offset
+    g0 = offset if slope == 0.0 else slope * b.limit_at_zero + offset
+    return g0, g1
+
+
+def _up_is_low(g0: float, g1: float) -> bool:
+    """The side order: the gap near alpha=0 decides; at alpha=1 it breaks a tie."""
+    return g0 > 0.0 or (g0 == 0.0 and g1 >= 0.0)
+
+
+def orientation(x: TypedOfn) -> Orientation:
+    """Increasing when up is the low side; identical sides are degenerate."""
     t = x.coeffs
     if t.up_slope == t.down_slope and t.up_offset == t.down_offset:
         return "degenerate"
-    b = get_base(x.base)
-    if b.unbounded:
-        if t.up_slope != t.down_slope:
-            if b.limit_at_zero > 0:
-                up_below = t.up_slope < t.down_slope
-            else:
-                up_below = t.up_slope > t.down_slope
-        else:
-            up_below = t.up_offset < t.down_offset
-    else:
-        h0 = b.limit_at_zero
-        u0 = t.up_slope * h0 + t.up_offset
-        d0 = t.down_slope * h0 + t.down_offset
-        if u0 != d0:
-            up_below = u0 < d0
-        else:
-            h1 = b.value_at_one
-            up_below = t.up_slope * h1 + t.up_offset < t.down_slope * h1 + t.down_offset
-    return "increasing" if up_below else "decreasing"
+    g0, g1 = _gap(get_base(x.base), t.up_slope, t.up_offset,
+                  t.down_slope, t.down_offset)
+    return "increasing" if _up_is_low(g0, g1) else "decreasing"
 
 
 # ---------------------------------------------------------------------------
@@ -272,19 +275,23 @@ def _result_base(x: TypedOfn, y: TypedOfn) -> str:
         "arithmetic across types is not defined")
 
 
+def _result(base: str, *components: float) -> TypedOfn:
+    """A computed number; a component beyond the float range is ArithmeticOverflow."""
+    # what typed() builds, one call shallower: ring operations are the hot path
+    try:
+        return TypedOfn(base, EssentialTuple(*components))
+    except DomainError as e:
+        raise ArithmeticOverflow(f"overflow: {e}") from None
+
+
 def _combine(x: TypedOfn, y: TypedOfn,
              op: Callable[[float, float], float]) -> TypedOfn:
-    base = _result_base(x, y)
     a, b = x.coeffs, y.coeffs
-    try:
-        return typed(base,
-                     op(a.up_slope, b.up_slope),
-                     op(a.up_offset, b.up_offset),
-                     op(a.down_slope, b.down_slope),
-                     op(a.down_offset, b.down_offset))
-    except DomainError as e:
-        # finite operands and a nonzero divisor: only overflow gets here
-        raise ArithmeticOverflow(f"overflow: {e}") from None
+    return _result(_result_base(x, y),
+                   op(a.up_slope, b.up_slope),
+                   op(a.up_offset, b.up_offset),
+                   op(a.down_slope, b.down_slope),
+                   op(a.down_offset, b.down_offset))
 
 
 def add(x: TypedOfn, y: TypedOfn) -> TypedOfn:
@@ -315,8 +322,5 @@ def scalar_mul(r: float, x: TypedOfn) -> TypedOfn:
     if not math.isfinite(r):
         raise DomainError(f"scalar must be finite, got {r!r}")
     t = x.coeffs
-    try:
-        return typed(x.base, r * t.up_slope, r * t.up_offset,
-                     r * t.down_slope, r * t.down_offset)
-    except DomainError as e:
-        raise ArithmeticOverflow(f"overflow: {e}") from None
+    return _result(x.base, r * t.up_slope, r * t.up_offset,
+                   r * t.down_slope, r * t.down_offset)

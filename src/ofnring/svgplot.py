@@ -11,6 +11,7 @@ import math
 
 from .bases import get_base
 from .documents import render_sides
+from .errors import ArithmeticOverflow
 from .ring import TypedOfn, side_eval
 
 WIDTH, HEIGHT = 640, 480
@@ -26,9 +27,13 @@ def _samples(x: TypedOfn, count: int) -> list[tuple[float, float, float]]:
     out = []
     for k in range(count):
         alpha = start + (1.0 - start) * k / (count - 1)
-        out.append((alpha,
-                    side_eval(x, "up", alpha),
-                    side_eval(x, "down", alpha)))
+        u, d = side_eval(x, "up", alpha), side_eval(x, "down", alpha)
+        # alpha stays off the pole of an unbounded base, so only overflow
+        # makes a sampled value infinite
+        if not (math.isfinite(u) and math.isfinite(d)):
+            raise ArithmeticOverflow(
+                f"overflow: a side value at alpha={alpha!r} is not finite")
+        out.append((alpha, u, d))
     return out
 
 
@@ -46,17 +51,18 @@ def _arrow(px: float, py: float, angle: float, style: str) -> str:
 def render_ofn_svg(x: TypedOfn, count: int = 201) -> str:
     rows = _samples(x, count)
     values = [v for _, u, d in rows for v in (u, d)]
-    vlo, vhi = min(values), max(values)
-    if vhi - vlo < 1e-9:
-        vlo -= 1.0
-        vhi += 1.0
-    pad = 0.05 * (vhi - vlo)
-    vlo -= pad
-    vhi += pad
+    vlo = min(values)
+    # half the value range: the halves of two finite floats differ by a
+    # finite amount, where vhi - vlo may overflow
+    half = 0.5 * max(values) - 0.5 * vlo
+    if half < 0.5e-9:
+        vlo, half = vlo - 1.0, half + 1.0
 
     def to_px(alpha: float, v: float) -> tuple[float, float]:
         px = MARGIN + alpha * (WIDTH - 2 * MARGIN)
-        py = HEIGHT - MARGIN - (v - vlo) / (vhi - vlo) * (HEIGHT - 2 * MARGIN)
+        # 5% padding below and above the range
+        frac = ((0.5 * v - 0.5 * vlo) / half + 0.05) / 1.1
+        py = HEIGHT - MARGIN - frac * (HEIGHT - 2 * MARGIN)
         return px, py
 
     def polyline(which: int, style: str) -> str:

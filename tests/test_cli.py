@@ -98,6 +98,14 @@ def test_correct_leaves_proper_alone(tmp_path, capsys):
     assert out["result"] == {"base": "identity", "tuple": [1.0, 0.0, -1.0, 2.0]}
 
 
+def test_correct_overflow_in_the_collapse_is_exit_4(tmp_path, capsys):
+    # combined: the collapse evaluates up(1) = 1e308 + 1e308
+    path = write_doc(tmp_path, "x.json",
+                     {"base": "identity", "tuple": [1e308] * 4})
+    assert main(["correct", "--in", path]) == 4
+    assert capsys.readouterr().err.startswith("error: overflow")
+
+
 def test_classify_rejects_malformed_documents(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -207,6 +215,23 @@ def test_plot_handles_unbounded_bases(tmp_path):
     svg = out.read_text(encoding="utf-8")
     assert "inf" not in svg.lower().replace("-inf", "")
     assert svg.count("<polyline") == 2
+
+
+def test_plot_of_sides_spanning_beyond_the_float_range(tmp_path, capsys):
+    # the sides span [-1e308 + 1, 1e308]: wider than the largest float
+    doc = write_doc(tmp_path, "x.json",
+                    {"base": "identity", "tuple": [1e308, 0, -1e308, 1]})
+    out = tmp_path / "plot.svg"
+    assert main(["plot", "--in", doc, "--out", str(out)]) == 0
+    svg = out.read_text(encoding="utf-8")
+    assert "nan" not in svg and "inf" not in svg
+    assert svg.count("<polyline") == 2
+    # up(1) = 1e308 + 1e308 overflows: no plot
+    doc = write_doc(tmp_path, "y.json",
+                    {"base": "identity", "tuple": [1e308] * 4})
+    assert main(["plot", "--in", doc, "--out", str(tmp_path / "y.svg")]) == 4
+    assert capsys.readouterr().err.startswith("error: overflow")
+    assert not (tmp_path / "y.svg").exists()
 
 
 # ---------------------------------------------------------------------------

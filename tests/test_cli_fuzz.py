@@ -2,7 +2,8 @@
 
 cli.main runs in-process on generated expression text and JSON documents; an
 exception escaping main, or a traceback on stderr, fails the test.  Graph
-documents keep `nodes` small, because a run allocates a slot per node.
+documents keep `nodes` small, because a run allocates a slot per node, and
+`sample` keeps `points` small, so that each run writes a short file.
 """
 import contextlib
 import io
@@ -46,6 +47,12 @@ OFN_DOCS = st.one_of(
                                  "log", "bogus"]),
         "tuple": st.lists(TUPLE_ENTRIES, min_size=3, max_size=5)}),
     JSON_VALUES)
+# well-formed numbers, many near the float range, reach the samplers
+VALID_OFN_DOCS = st.fixed_dictionaries({
+    "base": st.sampled_from(["identity", "sqrt", "gaussian", "exponential"]),
+    "tuple": st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                st.sampled_from([1e308, -1e308, 0.0, 1.0])),
+                      min_size=4, max_size=4)})
 EDGES = st.fixed_dictionaries({
     "from": st.integers(-1, 6), "to": st.one_of(st.integers(-1, 6), st.just(1.5)),
     "weight": OFN_DOCS})
@@ -58,6 +65,11 @@ GRAPH_DOCS = st.one_of(
 @pytest.fixture(scope="module")
 def doc_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+@pytest.fixture(scope="module")
+def out_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz-out") / "out"
 
 
 def run(argv):
@@ -92,3 +104,23 @@ def test_ofn_documents_end_in_a_documented_exit_code(doc_path, command, doc):
 def test_graph_documents_end_in_a_documented_exit_code(doc_path, doc, source):
     doc_path.write_text(json.dumps(doc), encoding="utf-8")
     assert_documented(*run(["graph", "--edges", str(doc_path), "--source", str(source)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=st.one_of(OFN_DOCS, VALID_OFN_DOCS), points=st.integers(2, 50))
+def test_sample_ends_in_a_documented_exit_code(doc_path, out_path, doc, points):
+    doc_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert_documented(*run(["sample", "--in", str(doc_path), "--points", str(points),
+                            "--out", str(out_path)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=st.one_of(OFN_DOCS, VALID_OFN_DOCS))
+def test_plot_ends_in_a_documented_exit_code_and_a_finite_svg(doc_path, out_path,
+                                                              doc):
+    doc_path.write_text(json.dumps(doc), encoding="utf-8")
+    out_path.unlink(missing_ok=True)
+    code, err = run(["plot", "--in", str(doc_path), "--out", str(out_path)])
+    assert_documented(code, err)
+    if code == 0:
+        assert "nan" not in out_path.read_text(encoding="utf-8")

@@ -288,6 +288,56 @@ def test_membership_accepts_proper_numbers_whose_cores_tie(x):
         assert abs(membership_eval(m, v) - 0.5) <= 1e-9
 
 
+def _property_numbers(rng, base, count):
+    """Random, small-integer, near-tie, float-range-scale and subnormal-scale
+    numbers on base."""
+    h1 = get_base(base).value_at_one
+    for k in range(count):
+        kind = k % 5
+        if kind == 0:
+            tup = [rng.uniform(-10, 10) for _ in range(4)]
+        elif kind == 1:
+            tup = [float(rng.randint(-2, 2)) for _ in range(4)]
+        elif kind == 2:
+            # up(1) = down(1) before rounding
+            us, uo, ds = (rng.uniform(-10, 10) for _ in range(3))
+            tup = [us, uo, ds, us * h1 + uo - ds * h1]
+        elif kind == 3:
+            tup = [rng.choice((-1, 1)) * rng.choice((rng.uniform(1e307, 1.7e308),
+                                                     1e308, rng.uniform(0, 10)))
+                   for _ in range(4)]
+        else:
+            tup = [rng.choice((-1, 1)) * rng.choice((5e-324, 1e-323, 0.0,
+                                                     rng.uniform(0, 1e-310)))
+                   for _ in range(4)]
+        yield typed(base, *tup)
+
+
+@pytest.mark.parametrize("base", ALL_BASES + (ONE_MINUS_CUBE,))
+def test_membership_rejects_exactly_what_classify_calls_improper(one_minus_cube, base):
+    rng = random.Random(29)
+    for x in _property_numbers(rng, base, 5000):
+        proper = classify(x).proper
+        try:
+            membership(x)
+        except ImproperError:
+            assert not proper, x
+        else:
+            assert proper, x
+
+
+@pytest.mark.parametrize("x", [
+    trapezoid(1e308, 0, -1e308, 1),        # core [-1e308, 1e308] wider than [0, 1]
+    typed(LOG, 1e308, 1, -1e308, 0),       # up(1) = 1 > down(1) = 0
+], ids=[IDENTITY, LOG])
+def test_coefficient_differences_beyond_the_float_range(x):
+    rep = classify(x)
+    assert not rep.proper and rep.pathology == "type-iii"
+    with pytest.raises(ImproperError):
+        membership(x)
+    assert correct(x)[1] != "none"
+
+
 def test_membership_branch_guard():
     with pytest.raises(DegenerateError):
         MembershipBranch(Side(IDENTITY, 0.0, 1.0), 0.0, 1.0)
