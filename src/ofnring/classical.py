@@ -4,14 +4,16 @@ This module is the reference semantics the ring is audited against: orthodox
 fuzzy numbers with shape functions L and R, convex level sets, level-set
 (interval) arithmetic, and two brute-force extension-principle evaluators.
 Nothing here knows about orientation; that is the point.
+
+Only the sampled sup-min grid, `zadeh_add_grid`, needs numpy, and it imports
+numpy when it is called: importing this module, the package or the CLI never
+loads numpy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from typing import Callable
-
-import numpy as np
 
 from .errors import DomainError, FamilyMismatch, ImproperError, MixedTypeError
 from .ring import Interval, TypedOfn, level_set, trapezoid
@@ -95,37 +97,38 @@ def levelset_add(x: LRFuzzyNumber, y: LRFuzzyNumber) -> LRFuzzyNumber:
                          family=x.family)
 
 
-def _membership_grid(n: LRFuzzyNumber, xs: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(xs, dtype=float)
-    inside = (xs >= n.support_lo) & (xs <= n.support_hi)
-    core = (xs >= n.core_lo) & (xs <= n.core_hi)
-    out[core] = 1.0
-    if n.left_spread > 0.0:
-        left = inside & (xs < n.core_lo)
-        out[left] = n.family.fwd((xs[left] - n.support_lo) / n.left_spread)
-    if n.right_spread > 0.0:
-        right = inside & (xs > n.core_hi)
-        out[right] = n.family.fwd((n.support_hi - xs[right]) / n.right_spread)
-    return out
-
-
-def zadeh_add_grid(x: LRFuzzyNumber, y: LRFuzzyNumber,
-                   grid: int = 2001) -> tuple[np.ndarray, np.ndarray]:
+def zadeh_add_grid(x: LRFuzzyNumber, y: LRFuzzyNumber, grid: int = 2001):
     """Sup-min convolution of the sum, sampled on `grid` output points.
 
-    Returns (zs, levels).  This is the extension principle evaluated head on;
-    it exists to audit levelset_add, not to be fast or exact.
+    Returns (zs, levels), two numpy arrays of length `grid`.  This is the
+    extension principle evaluated head on; it exists to audit levelset_add,
+    not to be fast or exact.
     """
+    import numpy as np
+
+    def membership_grid(n: LRFuzzyNumber, xs):
+        out = np.zeros_like(xs, dtype=float)
+        inside = (xs >= n.support_lo) & (xs <= n.support_hi)
+        core = (xs >= n.core_lo) & (xs <= n.core_hi)
+        out[core] = 1.0
+        if n.left_spread > 0.0:
+            left = inside & (xs < n.core_lo)
+            out[left] = n.family.fwd((xs[left] - n.support_lo) / n.left_spread)
+        if n.right_spread > 0.0:
+            right = inside & (xs > n.core_hi)
+            out[right] = n.family.fwd((n.support_hi - xs[right]) / n.right_spread)
+        return out
+
     if grid < 101:
         raise DomainError(f"grid must be at least 101, got {grid}")
     ts = np.linspace(x.support_lo, x.support_hi, grid)
-    mu_x = _membership_grid(x, ts)
+    mu_x = membership_grid(x, ts)
     zs = np.linspace(x.support_lo + y.support_lo, x.support_hi + y.support_hi, grid)
     levels = np.empty(grid)
     chunk = 256
     for start in range(0, grid, chunk):
         block = zs[start:start + chunk, None] - ts[None, :]
-        mu_y = _membership_grid(y, block.ravel()).reshape(block.shape)
+        mu_y = membership_grid(y, block.ravel()).reshape(block.shape)
         levels[start:start + chunk] = np.minimum(mu_x[None, :], mu_y).max(axis=1)
     return zs, levels
 

@@ -22,7 +22,7 @@ from .errors import (ArithmeticOverflow, DegenerateError, DegreeCapError,
 from .expr import parse_expression
 from .pathalgebra import shortest_paths
 from .propriety import classify, correct
-from .ring import TypedOfn, side_eval
+from .ring import TypedOfn, sampled_sides
 from .svgplot import render_ofn_svg
 
 EXIT_OK = 0
@@ -65,8 +65,8 @@ def _csv_rows(x: TypedOfn, points: int) -> str:
     lines = ["alpha,up,down"]
     for k in range(points):
         alpha = k / (points - 1)
-        lines.append(f"{alpha!r},{side_eval(x, 'up', alpha)!r},"
-                     f"{side_eval(x, 'down', alpha)!r}")
+        u, d = sampled_sides(x, alpha)
+        lines.append(f"{alpha!r},{u!r},{d!r}")
     return "\n".join(lines) + "\n"
 
 

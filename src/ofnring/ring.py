@@ -194,6 +194,21 @@ def side_eval(x: TypedOfn, which: SideName, alpha: float) -> float:
     raise DomainError(f"side must be 'up' or 'down', got {which!r}")
 
 
+def sampled_sides(x: TypedOfn, alpha: float) -> tuple[float, float]:
+    """(up, down) at alpha, as the sample and plot outputs write them.
+
+    Only the pole of an unbounded base, alpha = 0, gives +-inf; any other side
+    value that is not finite overflowed and raises ArithmeticOverflow.
+    """
+    b = get_base(x.base)
+    t = x.coeffs
+    u = _affine(b, t.up_slope, t.up_offset, alpha)
+    d = _affine(b, t.down_slope, t.down_offset, alpha)
+    if (alpha > 0.0 or not b.unbounded) and not (math.isfinite(u) and math.isfinite(d)):
+        raise ArithmeticOverflow(f"overflow: a side value at alpha={alpha!r} is not finite")
+    return u, d
+
+
 def level_set(x: TypedOfn, alpha: float) -> Interval:
     u = side_eval(x, "up", alpha)
     d = side_eval(x, "down", alpha)

@@ -11,8 +11,7 @@ import math
 
 from .bases import get_base
 from .documents import render_sides
-from .errors import ArithmeticOverflow
-from .ring import TypedOfn, side_eval
+from .ring import TypedOfn, sampled_sides
 
 WIDTH, HEIGHT = 640, 480
 MARGIN = 48
@@ -27,12 +26,7 @@ def _samples(x: TypedOfn, count: int) -> list[tuple[float, float, float]]:
     out = []
     for k in range(count):
         alpha = start + (1.0 - start) * k / (count - 1)
-        u, d = side_eval(x, "up", alpha), side_eval(x, "down", alpha)
-        # alpha stays off the pole of an unbounded base, so only overflow
-        # makes a sampled value infinite
-        if not (math.isfinite(u) and math.isfinite(d)):
-            raise ArithmeticOverflow(
-                f"overflow: a side value at alpha={alpha!r} is not finite")
+        u, d = sampled_sides(x, alpha)
         out.append((alpha, u, d))
     return out
 

@@ -162,6 +162,22 @@ def test_sample_unbounded_base_emits_inf_tokens(tmp_path):
     assert lines[1] == "0.0,inf,-inf"
     # h(1) = 0 for this base, so the alpha = 1 row is the bare offsets
     assert lines[-1] == "1.0,0.0,2.0"
+    doc = write_doc(tmp_path, "log.json",
+                    {"base": "exponential", "tuple": [1, 0, -1, 5]})
+    assert main(["sample", "--in", doc, "--points", "3", "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[1] == "0.0,-inf,inf"
+    assert all("inf" not in row for row in lines[2:])
+
+
+def test_sample_overflow_is_exit_4_and_writes_no_file(tmp_path, capsys):
+    # up(1) = 1e308 + 1e308 overflows on a bounded base: no CSV
+    doc = write_doc(tmp_path, "x.json",
+                    {"base": "identity", "tuple": [1e308] * 4})
+    out = tmp_path / "rows.csv"
+    assert main(["sample", "--in", doc, "--points", "3", "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("error: overflow")
+    assert not out.exists()
 
 
 def test_sample_rectangular_columns_are_constant(tmp_path):

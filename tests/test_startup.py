@@ -1,0 +1,60 @@
+"""Start-up cost: numpy stays unloaded until the Zadeh grid oracle runs.
+
+The ring, the propriety checks, the other oracles and the CLI need no numpy,
+so a child interpreter that imports the package and runs CLI commands must
+not load it; `zadeh_add_grid` loads it when called.
+"""
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+import ofnring
+from ofnring import LRFuzzyNumber, zadeh_add_grid
+
+CHILD = r"""
+import contextlib, hashlib, io, json, os, sys
+
+import ofnring
+import ofnring.cli
+
+tmp = sys.argv[1]
+docs = {"x.json": {"base": "identity", "tuple": [1, 2, 1, 0]},
+        "g.json": {"nodes": 3, "edges": [
+            {"from": 0, "to": 1, "weight": {"base": "identity", "tuple": [1, 0, -1, 2]}},
+            {"from": 1, "to": 2, "weight": {"base": "identity", "tuple": [0, 1, 0, 1]}}]}}
+for name, doc in docs.items():
+    with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["eval", "--expr", "trap(1,-5,-1,-3) * crisp(2)"],
+                 ["classify", "--in", os.path.join(tmp, "x.json")],
+                 ["graph", "--edges", os.path.join(tmp, "g.json"), "--source", "0"]):
+        codes.append(ofnring.cli.main(argv))
+before = "numpy" in sys.modules
+x = ofnring.LRFuzzyNumber(0.0, 1.0, 2.0, 3.0)
+y = ofnring.LRFuzzyNumber(0.0, 2.0, 2.0, 4.0)
+zs, levels = ofnring.zadeh_add_grid(x, y, grid=2001)
+print(json.dumps({"codes": codes, "numpy_before_grid": before,
+                  "numpy_after_grid": "numpy" in sys.modules,
+                  "grid": hashlib.sha256(zs.tobytes() + levels.tobytes()).hexdigest()}))
+"""
+
+
+def test_numpy_loads_only_inside_the_zadeh_grid(tmp_path):
+    # the child imports the same package as this test, however pytest found it
+    src = os.path.dirname(os.path.dirname(ofnring.__file__))
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [0, 0, 0]
+    assert report["numpy_before_grid"] is False
+    assert report["numpy_after_grid"] is True
+    # the pinned grid of test_classical, bit for bit
+    zs, levels = zadeh_add_grid(LRFuzzyNumber(0.0, 1.0, 2.0, 3.0),
+                                LRFuzzyNumber(0.0, 2.0, 2.0, 4.0), grid=2001)
+    assert report["grid"] == hashlib.sha256(zs.tobytes() + levels.tobytes()).hexdigest()
