@@ -12,26 +12,22 @@ commutative ring with exact additive inverses.  Around that core:
   pairs (Kosinski), revised corner-first trapezoids (Piasecki), and classical
   level-set / extension-principle fuzzy numbers;
 * a ranking functional with fuzzy-weighted shortest paths, and a CLI.
+
+The three oracle modules load on first use: `ofnring.k_op`, `from ofnring
+import zadeh_add_grid` or `import ofnring.piasecki` imports its module then,
+so `import ofnring` and the CLI's ring commands do not pay for them.
 """
+import importlib
 
 from .bases import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, BaseFunction,
                     available_tags, get_base, register_base)
-from .classical import (LINEAR, LRFuzzyNumber, SpreadFamily,
-                        from_typed_trapezoid, levelset_add, lr_level_set,
-                        lr_membership, to_typed_trapezoid, zadeh_add_grid,
-                        zadeh_mul_levelsets)
 from .errors import (ArithmeticOverflow, DegenerateError, DegreeCapError,
                      DivisionByZero, DocumentError, DomainError, FamilyMismatch,
                      ImproperError, MixedTypeError, NegativeCycle, OfnError,
                      ParseError, RangeError, UnknownBaseError, WrongPathology)
 from .expr import parse_expression
-from .kosinski import (FunctionProprietyReport, PiecewisePoly, PiecewisePolyOfn,
-                       combine_sides, corresponding_membership, k_is_proper,
-                       k_neg, k_op, k_scalar, value_preimages)
 from .pathalgebra import (FuzzyDigraph, ShortestPathResult, ofn_min,
                           pointwise_min_report, rank, shortest_paths)
-from .piasecki import (CONSTANT, PRODUCT_FORM, PiaseckiResult,
-                       TrapezoidCorners, p_closure_check, p_op)
 from .propriety import (PATHOLOGY_COMBINED, PATHOLOGY_II, PATHOLOGY_III,
                         PATHOLOGY_NONE, MembershipBranch, MembershipFunction,
                         ProprietyReport, classify, correct, correct_combined,
@@ -44,6 +40,29 @@ from .ring import (EssentialTuple, Interval, Side, TypedOfn, add, crisp, div,
                    support, trapezoid, typed, zero)
 
 __version__ = "0.1.0"
+
+# oracle module -> the public names it serves on first use (PEP 562)
+_LAZY = {
+    "kosinski": ("FunctionProprietyReport", "PiecewisePoly", "PiecewisePolyOfn",
+                 "combine_sides", "corresponding_membership", "k_is_proper",
+                 "k_neg", "k_op", "k_scalar", "value_preimages"),
+    "piasecki": ("CONSTANT", "PRODUCT_FORM", "PiaseckiResult", "TrapezoidCorners",
+                 "p_closure_check", "p_op"),
+    "classical": ("LINEAR", "LRFuzzyNumber", "SpreadFamily", "from_typed_trapezoid",
+                  "levelset_add", "lr_level_set", "lr_membership",
+                  "to_typed_trapezoid", "zadeh_add_grid", "zadeh_mul_levelsets"),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:  # ofnring.kosinski and the like, as when loaded eagerly
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
 
 __all__ = [
     "BaseFunction", "IDENTITY", "SQRT", "GAUSSIAN_INVERSE", "LOG",

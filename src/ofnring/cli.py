@@ -13,7 +13,6 @@ import json
 import sys
 from typing import Sequence
 
-from .demo import run_demo
 from .documents import load_graph, load_ofn, ofn_to_doc, render_sides
 from .errors import (ArithmeticOverflow, DegenerateError, DegreeCapError,
                      DivisionByZero, DocumentError, DomainError, FamilyMismatch,
@@ -102,6 +101,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
+    from .demo import run_demo  # the oracles it loads serve no other command
     return run_demo()
 
 

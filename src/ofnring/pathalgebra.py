@@ -26,11 +26,10 @@ RankFn = Callable[[TypedOfn], float]
 def rank(x: TypedOfn) -> float:
     """Mean of the side integrals over [0, 1]; finite for all registry bases."""
     b = get_base(x.base)
-    t = x.coeffs
+    up_slope, up_offset, down_slope, down_offset = x.coeffs
     if not math.isfinite(b.integral):
         raise DomainError(f"base {x.base!r} has no finite integral")
-    return 0.5 * (t.up_slope + t.down_slope) * b.integral \
-        + 0.5 * (t.up_offset + t.down_offset)
+    return 0.5 * (up_slope + down_slope) * b.integral + 0.5 * (up_offset + down_offset)
 
 
 def ofn_min(x: TypedOfn, y: TypedOfn, key: RankFn = rank) -> TypedOfn:
@@ -94,35 +93,50 @@ def shortest_paths(g: FuzzyDigraph, source: int,
     """Bellman-Ford relaxation under the (rank, tuple) order.
 
     Distances are tuple sums along the selected paths; unreachable nodes get
-    None.  A cycle that keeps improving the order raises NegativeCycle.
+    None.  A cycle that keeps improving the order raises NegativeCycle: so does
+    a relaxation that improves the source, and a cycle left in the predecessor
+    graph once relaxation stops, which rounding can leave behind without any
+    edge still improving (Cherkassky & Goldberg, Math. Programming 85, 1999).
     """
     if not 0 <= source < g.nodes:
         raise DomainError(f"source {source} is not a node")
     dist: list[TypedOfn | None] = [None] * g.nodes
+    keys: list[float | None] = [None] * g.nodes  # key(dist[v]), kept beside dist
     pred: list[int | None] = [None] * g.nodes
     dist[source] = rectangular(0.0, 0.0, base=g.base)
-
-    def better(cand: TypedOfn, cur: TypedOfn | None) -> bool:
-        if cur is None:
-            return True
-        kc, ku = key(cand), key(cur)
-        if kc != ku:
-            return kc < ku
-        return cand.coeffs < cur.coeffs
-
-    for _ in range(max(1, g.nodes - 1)):
+    keys[source] = key(dist[source])
+    rounds = max(1, g.nodes - 1)
+    # rounds + 1 passes: an improvement in the last one is a negative cycle
+    for r in range(rounds + 1):
         changed = False
         for u, v, w in g.edges:
             if dist[u] is None:
                 continue
             cand = add(dist[u], w)
-            if better(cand, dist[v]):
-                dist[v] = cand
-                pred[v] = u
+            kc, kv = key(cand), keys[v]
+            if dist[v] is None or (kc < kv if kc != kv else cand.coeffs < dist[v].coeffs):
+                if v == source or r == rounds:
+                    raise NegativeCycle("relaxation keeps improving; negative-rank cycle")
+                dist[v], keys[v], pred[v] = cand, kc, u
                 changed = True
         if not changed:
             break
-    for u, v, w in g.edges:
-        if dist[u] is not None and better(add(dist[u], w), dist[v]):
-            raise NegativeCycle("relaxation keeps improving; negative-rank cycle")
+    _check_predecessor_tree(pred)
     return ShortestPathResult(source, tuple(dist), tuple(pred))
+
+
+def _check_predecessor_tree(pred: list[int | None]) -> None:
+    """Raise NegativeCycle if following predecessors from some node cycles.
+
+    Each node is walked once: a walk stops at a root or at a node an earlier
+    walk marked, and meeting a node marked by the same walk closes a cycle.
+    """
+    walk_of = [-1] * len(pred)
+    for start in range(len(pred)):
+        v = start
+        while v is not None and walk_of[v] < 0:
+            walk_of[v] = start
+            v = pred[v]
+        if v is not None and walk_of[v] == start:
+            raise NegativeCycle(
+                f"predecessors cycle through node {v}; negative-rank cycle")

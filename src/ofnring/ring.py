@@ -20,12 +20,21 @@ ordinary signed floats here, never sentinels.  Side values and the side order
 never form 0 * inf or inf - inf: a side with slope 0 is its offset at every
 alpha, and the gap between the sides is taken from halved coefficients when a
 difference would overflow.
+
+Every constructor a caller reaches checks its input: EssentialTuple(...)
+requires four finite real numbers and stores them as floats, TypedOfn(...)
+requires a registered base tag, and typed() and its shorthands do both.  The
+document loaders and the expression parser build through typed().  Only ring
+results skip those checks: _result builds a number from components computed out
+of checked operands, so it tests them only for overflow (ArithmeticOverflow)
+and uses the operands' base tag as it is.
 """
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable, Literal
 
 from .bases import IDENTITY, BaseFunction, get_base
@@ -37,23 +46,40 @@ Orientation = Literal["increasing", "decreasing", "degenerate"]
 SignClass = Literal["positive", "negative", "neither"]
 
 
-@dataclass(frozen=True, order=True)
-class EssentialTuple:
-    """(up_slope, up_offset, down_slope, down_offset); ordering is lexicographic."""
+_FIELDS = ("up_slope", "up_offset", "down_slope", "down_offset")
 
-    up_slope: float
-    up_offset: float
-    down_slope: float
-    down_offset: float
 
-    def __post_init__(self):
-        for name, v in self.__dict__.items():
+class EssentialTuple(tuple):
+    """(up_slope, up_offset, down_slope, down_offset); ordering is lexicographic.
+
+    A tuple of four finite floats, so equality, hashing and order are the
+    tuple's own.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, up_slope: float, up_offset: float,
+                down_slope: float, down_offset: float) -> "EssentialTuple":
+        values = (up_slope, up_offset, down_slope, down_offset)
+        for name, v in zip(_FIELDS, values):
             if not isinstance(v, (int, float)) or not math.isfinite(v):
                 raise DomainError(f"tuple component {name} must be finite, got {v!r}")
-            object.__setattr__(self, name, float(v))
+        return tuple.__new__(cls, map(float, values))
+
+    up_slope = property(operator.itemgetter(0))
+    up_offset = property(operator.itemgetter(1))
+    down_slope = property(operator.itemgetter(2))
+    down_offset = property(operator.itemgetter(3))
+
+    def __getnewargs__(self) -> tuple[float, float, float, float]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={v!r}" for name, v in zip(_FIELDS, self))
+        return f"EssentialTuple({fields})"
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.up_slope, self.up_offset, self.down_slope, self.down_offset)
+        return tuple(self)
 
 
 @dataclass(frozen=True)
@@ -116,15 +142,35 @@ def _affine(b: BaseFunction, slope: float, offset: float, alpha: float) -> float
     return slope * b.value(alpha) + offset
 
 
-@dataclass(frozen=True)
 class TypedOfn:
-    """A typed ordered fuzzy number: base tag plus essential tuple."""
+    """A typed ordered fuzzy number: base tag plus essential tuple; immutable."""
 
-    base: str
-    coeffs: EssentialTuple
+    __slots__ = ("base", "coeffs")
 
-    def __post_init__(self):
-        get_base(self.base)
+    def __init__(self, base: str, coeffs: EssentialTuple):
+        get_base(base)
+        _set_base(self, base)
+        _set_coeffs(self, coeffs)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.base == other.base and self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"TypedOfn(base={self.base!r}, coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return (TypedOfn, (self.base, self.coeffs))
 
     @property
     def is_rectangular(self) -> bool:
@@ -150,6 +196,11 @@ class TypedOfn:
 
     def __neg__(self) -> "TypedOfn":
         return neg(self)
+
+
+# the slots, written past TypedOfn.__setattr__ by __init__ and _result
+_set_base = TypedOfn.base.__set__
+_set_coeffs = TypedOfn.coeffs.__set__
 
 
 def typed(base: str, up_slope: float, up_offset: float,
@@ -290,23 +341,29 @@ def _result_base(x: TypedOfn, y: TypedOfn) -> str:
         "arithmetic across types is not defined")
 
 
-def _result(base: str, *components: float) -> TypedOfn:
-    """A computed number; a component beyond the float range is ArithmeticOverflow."""
-    # what typed() builds, one call shallower: ring operations are the hot path
-    try:
-        return TypedOfn(base, EssentialTuple(*components))
-    except DomainError as e:
-        raise ArithmeticOverflow(f"overflow: {e}") from None
+def _result(base: str, up_slope: float, up_offset: float,
+            down_slope: float, down_offset: float) -> TypedOfn:
+    """A computed number; a component beyond the float range is ArithmeticOverflow.
+
+    The one unchecked constructor: the components come from checked operands,
+    so only their finiteness is tested, and `base` is already a registered tag.
+    """
+    if not (isfinite(up_slope) and isfinite(up_offset)
+            and isfinite(down_slope) and isfinite(down_offset)):
+        values = (up_slope, up_offset, down_slope, down_offset)
+        name, v = next((n, v) for n, v in zip(_FIELDS, values) if not isfinite(v))
+        raise ArithmeticOverflow(f"overflow: tuple component {name} must be finite, got {v!r}")
+    x = object.__new__(TypedOfn)
+    _set_base(x, base)
+    _set_coeffs(x, tuple.__new__(EssentialTuple, (up_slope, up_offset, down_slope, down_offset)))
+    return x
 
 
 def _combine(x: TypedOfn, y: TypedOfn,
              op: Callable[[float, float], float]) -> TypedOfn:
     a, b = x.coeffs, y.coeffs
-    return _result(_result_base(x, y),
-                   op(a.up_slope, b.up_slope),
-                   op(a.up_offset, b.up_offset),
-                   op(a.down_slope, b.down_slope),
-                   op(a.down_offset, b.down_offset))
+    return _result(_result_base(x, y), op(a[0], b[0]), op(a[1], b[1]),
+                   op(a[2], b[2]), op(a[3], b[3]))
 
 
 def add(x: TypedOfn, y: TypedOfn) -> TypedOfn:
@@ -322,7 +379,7 @@ def mul(x: TypedOfn, y: TypedOfn) -> TypedOfn:
 
 
 def div(x: TypedOfn, y: TypedOfn) -> TypedOfn:
-    if any(c == 0.0 for c in y.coeffs.as_tuple()):
+    if 0.0 in y.coeffs:
         raise DivisionByZero(
             f"divisor tuple {y.coeffs.as_tuple()} has a zero component")
     return _combine(x, y, OPERATORS["/"])
@@ -336,6 +393,6 @@ def scalar_mul(r: float, x: TypedOfn) -> TypedOfn:
     """Scale all four components by r (not the same as mul by crisp(r))."""
     if not math.isfinite(r):
         raise DomainError(f"scalar must be finite, got {r!r}")
-    t = x.coeffs
-    return _result(x.base, r * t.up_slope, r * t.up_offset,
-                   r * t.down_slope, r * t.down_offset)
+    r = float(r)  # components stay floats, as the checked constructor stores them
+    us, uo, ds, do = x.coeffs
+    return _result(x.base, r * us, r * uo, r * ds, r * do)

@@ -180,6 +180,19 @@ def test_sources_and_cycles():
         shortest_paths(loop, 0)
 
 
+def test_cycle_that_rounding_hides_is_negative():
+    # the exact weight sums of the cycles are -2**-55 and -2**-54; relaxing in
+    # floats improves the source of the first, and leaves the second as a cycle
+    # of predecessors once no edge improves any more
+    through_source = FuzzyDigraph(3, ((0, 1, crisp(0.3)), (1, 2, crisp(-0.1)),
+                                      (2, 0, crisp(-0.2))))
+    off_source = FuzzyDigraph(4, ((0, 1, crisp(0.7)), (1, 2, crisp(0.2)),
+                                  (2, 3, crisp(-0.8)), (3, 1, crisp(0.6))))
+    for g in (through_source, off_source):
+        with pytest.raises(NegativeCycle):
+            shortest_paths(g, 0)
+
+
 def test_gaussian_weights_route_by_rank():
     heavy = typed(GAUSSIAN_INVERSE, 0.5, 4.0, -0.5, 4.0)   # rank 4
     light = typed(GAUSSIAN_INVERSE, 0.5, 1.0, -0.5, 1.0)   # rank 1

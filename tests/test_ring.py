@@ -1,5 +1,7 @@
 """Essential-tuple ring: pinned arithmetic, axioms, geometry."""
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, ArithmeticOverflow,
                      DivisionByZero, DomainError, EssentialTuple, Interval, MixedTypeError,
-                     Side, UnknownBaseError, add, crisp, div, level_set,
+                     Side, TypedOfn, UnknownBaseError, add, crisp, div, level_set,
                      level_set_of_sides, mul, neg, one, orientation,
                      rectangular, scalar_mul, side_eval, sign_class, sub,
                      support, trapezoid, typed, zero)
@@ -71,6 +73,8 @@ def test_tuple_rejects_non_finite():
             EssentialTuple(1.0, bad, 0.0, 0.0)
     with pytest.raises(DomainError):
         EssentialTuple("1", 0.0, 0.0, 0.0)
+    with pytest.raises(DomainError, match="component down_offset must be finite"):
+        EssentialTuple(1, 0, -1, math.nan)
 
 
 def test_tuple_coerces_ints_to_floats():
@@ -79,9 +83,92 @@ def test_tuple_coerces_ints_to_floats():
     assert all(isinstance(v, float) for v in t.as_tuple())
 
 
+# ---------------------------------------------------------------------------
+# value semantics of EssentialTuple and TypedOfn
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("base", ALL_BASES)
+def test_values_survive_pickle_and_copy(base):
+    x = random_proper(random.Random(5), base)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        for value in (x, x.coeffs):
+            back = pickle.loads(pickle.dumps(value, protocol))
+            assert back == value and type(back) is type(value)
+    for clone in (copy.copy, copy.deepcopy):
+        y = clone(x)
+        assert y == x and y.base == base and type(y.coeffs) is EssentialTuple
+        assert clone(x.coeffs) == x.coeffs and type(clone(x.coeffs)) is EssentialTuple
+
+
+def test_unpickling_checks_like_the_constructors():
+    bad_base = pickle.dumps(crisp(1.0)).replace(b"identity", b"nobase__")
+    with pytest.raises(UnknownBaseError):
+        pickle.loads(bad_base)
+
+
+@pytest.mark.parametrize("base", ALL_BASES)
+def test_equal_numbers_hash_alike(base):
+    x = random_proper(random.Random(9), base)
+    y = typed(base, *x.coeffs.as_tuple())
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert x.coeffs == y.coeffs and hash(x.coeffs) == hash(y.coeffs)
+    assert len({x, y, x + zero(base)}) == 1
+    assert x != x + one(base)
+    other = next(b for b in ALL_BASES if b != base)
+    assert typed(other, *x.coeffs.as_tuple()) != x
+    assert crisp(2.0, base) != crisp(2.0, other)
+    assert x != x.coeffs and x.__eq__(x.coeffs) is NotImplemented
+
+
+@pytest.mark.parametrize("base", ALL_BASES)
+def test_fields_are_read_only(base):
+    x = typed(base, 1, 2, 3, 4)
+    for name in ("base", "coeffs", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+    with pytest.raises(AttributeError):
+        del x.coeffs
+    for name in ("up_slope", "up_offset", "down_slope", "down_offset"):
+        with pytest.raises(AttributeError):
+            setattr(x.coeffs, name, 0.0)
+    with pytest.raises(AttributeError):
+        x.coeffs.extra = 0.0
+    assert x == typed(base, 1, 2, 3, 4)
+
+
+def test_tuple_order_is_lexicographic():
+    ts = [EssentialTuple(*t) for t in ((1, 0, 0, 0), (0, 9, 9, 9), (0, 9, 9, -1),
+                                       (0, -1, 5, 5), (0, 9, -9, 9))]
+    assert sorted(ts) == [EssentialTuple(*t) for t in ((0, -1, 5, 5), (0, 9, -9, 9),
+                                                       (0, 9, 9, -1), (0, 9, 9, 9),
+                                                       (1, 0, 0, 0))]
+    assert EssentialTuple(0, 0, 0, 1) < EssentialTuple(0, 0, 1, 0) <= EssentialTuple(0, 0, 1, 0)
+    t = EssentialTuple(1, 2, 3, 4)
+    assert (t.up_slope, t.up_offset, t.down_slope, t.down_offset) == (1.0, 2.0, 3.0, 4.0)
+
+
+def test_repr_is_pinned():
+    x = typed(GAUSSIAN_INVERSE, 1, -0.5, -2, 3.25)
+    assert repr(x.coeffs) == ("EssentialTuple(up_slope=1.0, up_offset=-0.5, "
+                              "down_slope=-2.0, down_offset=3.25)")
+    assert repr(x) == ("TypedOfn(base='gaussian-inverse', coeffs=EssentialTuple("
+                       "up_slope=1.0, up_offset=-0.5, down_slope=-2.0, down_offset=3.25))")
+    assert repr(x + zero(GAUSSIAN_INVERSE)) == repr(x)
+
+
+def test_ring_results_have_the_checked_types():
+    x = trapezoid(1, 2, 3, 4) * typed(IDENTITY, 0.5, 0.5, 0.5, 0.5)
+    assert type(x) is TypedOfn and type(x.coeffs) is EssentialTuple
+    assert all(type(v) is float for v in x.coeffs)
+    assert x == typed(IDENTITY, 0.5, 1.0, 1.5, 2.0)
+    assert scalar_mul(2, crisp(1.0)).coeffs.as_tuple() == (0.0, 2.0, 0.0, 2.0)
+
+
 def test_unknown_base_rejected():
     with pytest.raises(UnknownBaseError):
         typed("unregistered", 1, 0, -1, 2)
+    with pytest.raises(UnknownBaseError):
+        TypedOfn("unregistered", EssentialTuple(1, 0, -1, 2))
     with pytest.raises(UnknownBaseError):
         Side("unregistered", 1.0, 0.0)
 
@@ -185,6 +272,8 @@ def test_overflow_is_an_arithmetic_error_not_a_domain_error():
             op(x, y)
     with pytest.raises(ArithmeticOverflow):
         scalar_mul(1e200, big)
+    with pytest.raises(ArithmeticOverflow, match="component up_offset must be finite"):
+        trapezoid(0, 1e308, 0, 1) + trapezoid(0, 1e308, 0, 1)
     assert not issubclass(ArithmeticOverflow, DomainError)
 
 

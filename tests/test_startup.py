@@ -1,14 +1,18 @@
-"""Start-up cost: numpy stays unloaded until the Zadeh grid oracle runs.
+"""Start-up cost: what a CLI command does not use, it does not import.
 
 The ring, the propriety checks, the other oracles and the CLI need no numpy,
 so a child interpreter that imports the package and runs CLI commands must
-not load it; `zadeh_add_grid` loads it when called.
+not load it; `zadeh_add_grid` loads it when called.  The oracle modules and
+the demo load on first use too, so `eval`, `classify` and `graph` leave them
+unloaded, while every public name still resolves.
 """
 import hashlib
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import ofnring
 from ofnring import LRFuzzyNumber, zadeh_add_grid
@@ -34,23 +38,35 @@ with contextlib.redirect_stdout(io.StringIO()):
                  ["graph", "--edges", os.path.join(tmp, "g.json"), "--source", "0"]):
         codes.append(ofnring.cli.main(argv))
 before = "numpy" in sys.modules
+lazy = ["ofnring." + m for m in ("kosinski", "piasecki", "classical", "demo")]
+lazy_loaded = [m for m in lazy if m in sys.modules]
+unresolved = [n for n in ofnring.__all__ if getattr(ofnring, n, None) is None]
+namespace = {}
+exec("from ofnring import *", namespace)
+starred = sorted(set(ofnring.__all__) - set(namespace))
 x = ofnring.LRFuzzyNumber(0.0, 1.0, 2.0, 3.0)
 y = ofnring.LRFuzzyNumber(0.0, 2.0, 2.0, 4.0)
 zs, levels = ofnring.zadeh_add_grid(x, y, grid=2001)
 print(json.dumps({"codes": codes, "numpy_before_grid": before,
+                  "lazy_loaded_by_commands": lazy_loaded,
+                  "unresolved": unresolved, "missing_from_star": starred,
                   "numpy_after_grid": "numpy" in sys.modules,
                   "grid": hashlib.sha256(zs.tobytes() + levels.tobytes()).hexdigest()}))
 """
 
 
-def test_numpy_loads_only_inside_the_zadeh_grid(tmp_path):
+@pytest.fixture(scope="module")
+def report(tmp_path_factory):
     # the child imports the same package as this test, however pytest found it
     src = os.path.dirname(os.path.dirname(ofnring.__file__))
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path_factory.mktemp("docs"))],
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_numpy_loads_only_inside_the_zadeh_grid(report):
     assert report["codes"] == [0, 0, 0]
     assert report["numpy_before_grid"] is False
     assert report["numpy_after_grid"] is True
@@ -58,3 +74,13 @@ def test_numpy_loads_only_inside_the_zadeh_grid(tmp_path):
     zs, levels = zadeh_add_grid(LRFuzzyNumber(0.0, 1.0, 2.0, 3.0),
                                 LRFuzzyNumber(0.0, 2.0, 2.0, 4.0), grid=2001)
     assert report["grid"] == hashlib.sha256(zs.tobytes() + levels.tobytes()).hexdigest()
+
+
+def test_commands_leave_the_oracles_and_the_demo_unloaded(report):
+    assert report["codes"] == [0, 0, 0]
+    assert report["lazy_loaded_by_commands"] == []
+
+
+def test_every_public_name_resolves(report):
+    assert report["unresolved"] == []
+    assert report["missing_from_star"] == []
