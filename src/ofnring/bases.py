@@ -72,6 +72,8 @@ _REGISTRY: dict[str, BaseFunction] = {}
 
 
 def _validate(b: BaseFunction) -> None:
+    if not math.isfinite(b.integral):  # rank() weighs the slopes by it
+        raise DomainError(f"{b.tag}: integral is not finite")
     n = 1000
     prev = None
     for k in range(1, n + 1):

@@ -4,7 +4,7 @@ Commands: eval, classify, correct, sample, plot, graph, demo.  All structured
 output is JSON on stdout (plus a human side-function rendering for eval);
 sample and plot write files.  Exit codes: 0 ok, 2 parse/validation, 3 mixed
 types, 4 math (division by zero, overflow, improper inputs, wrong pathology),
-5 I/O.
+5 I/O; an OfnError carries its code as `exit_code`.
 """
 from __future__ import annotations
 
@@ -14,10 +14,7 @@ import sys
 from typing import Sequence
 
 from .documents import load_graph, load_ofn, ofn_to_doc, render_sides
-from .errors import (ArithmeticOverflow, DegenerateError, DegreeCapError,
-                     DivisionByZero, DocumentError, DomainError, FamilyMismatch,
-                     ImproperError, MixedTypeError, NegativeCycle, ParseError,
-                     RangeError, UnknownBaseError, WrongPathology)
+from .errors import DomainError, OfnError
 from .expr import parse_expression
 from .pathalgebra import shortest_paths
 from .propriety import classify, correct
@@ -25,9 +22,6 @@ from .ring import TypedOfn, sampled_sides
 from .svgplot import render_ofn_svg
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_MIXED = 3
-EXIT_MATH = 4
 EXIT_IO = 5
 
 
@@ -149,16 +143,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, DocumentError, UnknownBaseError, DomainError) as e:
+    except OfnError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except (MixedTypeError, FamilyMismatch) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_MIXED
-    except (DivisionByZero, ArithmeticOverflow, ImproperError, WrongPathology,
-            DegenerateError, DegreeCapError, RangeError, NegativeCycle) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_MATH
+        return e.exit_code
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO

@@ -2,7 +2,8 @@
 
 An OFN document is {"base": tag, "tuple": [up_slope, up_offset, down_slope,
 down_offset]}; its tag and the symbol that renders h in a side formula are
-the doc_tag and symbol fields of the base's registry record.
+the doc_tag and symbol fields of the base's registry record.  The loader
+checks only the shape; typed() checks the four numbers.
 A graph document is {"nodes": n, "edges": [{"from": u, "to": v,
 "weight": <ofn document>}]}, with n at most MAX_NODES: a shortest-path run
 allocates a distance and a predecessor slot per node.
@@ -10,11 +11,10 @@ allocates a distance and a predecessor slot per node.
 from __future__ import annotations
 
 import json
-import math
 from typing import Any
 
 from .bases import base_named, get_base
-from .errors import DocumentError
+from .errors import DocumentError, DomainError
 from .pathalgebra import FuzzyDigraph
 from .ring import TypedOfn, typed
 
@@ -35,15 +35,12 @@ def ofn_from_doc(doc: Any) -> TypedOfn:
     if (b := base_named("doc_tag", tag)) is None:
         raise DocumentError(f"unknown base tag {tag!r}")
     tup = doc.get("tuple")
-    numbers = isinstance(tup, list) and len(tup) == 4 and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in tup)
     try:
-        values = [float(v) for v in tup] if numbers else []
-    except OverflowError:  # an integer too large for a float
-        values = []
-    if len(values) != 4 or not all(map(math.isfinite, values)):
-        raise DocumentError("tuple must be a list of 4 finite numbers")
-    return typed(b.tag, *values)
+        if isinstance(tup, list) and len(tup) == 4:
+            return typed(b.tag, *tup)
+    except DomainError:
+        pass
+    raise DocumentError("tuple must be a list of 4 finite numbers")
 
 
 def _load_json(path: str) -> Any:

@@ -1,16 +1,18 @@
 """Exception hierarchy shared across the package.
 
-Every error raised on purpose derives from OfnError so callers (and the CLI
-exit-code mapper) can tell semantic failures from plain bugs.
+Every error raised on purpose derives from OfnError so callers can tell
+semantic failures from plain bugs.  Each class carries the CLI's exit code.
 """
 
 
 class OfnError(Exception):
     """Base class for all deliberate failures."""
+    exit_code = 4  # a failure of the mathematics; bad input is 2, mixed types 3
 
 
 class DomainError(OfnError):
     """An argument is outside the function's domain (alpha, grids, corners)."""
+    exit_code = 2
 
 
 class ArithmeticOverflow(OfnError):
@@ -23,10 +25,12 @@ class RangeError(OfnError):
 
 class UnknownBaseError(OfnError):
     """A base tag is not in the registry."""
+    exit_code = 2
 
 
 class MixedTypeError(OfnError):
     """Arithmetic attempted across distinct bases (and neither side rectangular)."""
+    exit_code = 3
 
 
 class DivisionByZero(OfnError, ZeroDivisionError):
@@ -51,6 +55,7 @@ class DegreeCapError(OfnError):
 
 class FamilyMismatch(OfnError):
     """Level-set addition across different spread families."""
+    exit_code = 3
 
 
 class NegativeCycle(OfnError):
@@ -59,6 +64,7 @@ class NegativeCycle(OfnError):
 
 class ParseError(OfnError):
     """Expression text failed to parse; `position` is a 0-based offset."""
+    exit_code = 2
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
@@ -67,3 +73,4 @@ class ParseError(OfnError):
 
 class DocumentError(OfnError):
     """A JSON document does not match the expected shape."""
+    exit_code = 2

@@ -20,10 +20,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
+from itertools import zip_longest
 
 from .bases import IDENTITY
 from .errors import DegreeCapError, DomainError, MixedTypeError
-from .ring import TypedOfn
+from .ring import OPERATORS, TypedOfn, _number
 
 MAX_DEGREE = 8
 
@@ -35,16 +37,10 @@ def _poly_eval(coeffs: tuple[float, ...], t: float) -> float:
     return acc
 
 
-def _poly_add(p: tuple[float, ...], q: tuple[float, ...]) -> tuple[float, ...]:
-    n = max(len(p), len(q))
-    return tuple((p[i] if i < len(p) else 0.0) + (q[i] if i < len(q) else 0.0)
-                 for i in range(n))
-
-
-def _poly_sub(p: tuple[float, ...], q: tuple[float, ...]) -> tuple[float, ...]:
-    n = max(len(p), len(q))
-    return tuple((p[i] if i < len(p) else 0.0) - (q[i] if i < len(q) else 0.0)
-                 for i in range(n))
+def _poly_zip(star: str, p: tuple[float, ...], q: tuple[float, ...]) -> tuple[float, ...]:
+    """p star q coefficient by coefficient (star + or -), the shorter padded with zeros."""
+    op = OPERATORS[star]
+    return tuple(op(a, b) for a, b in zip_longest(p, q, fillvalue=0.0))
 
 
 def _poly_mul(p: tuple[float, ...], q: tuple[float, ...]) -> tuple[float, ...]:
@@ -99,7 +95,7 @@ class PiecewisePoly:
         for a, b in zip(br, br[1:]):
             if not a < b:
                 raise DomainError("breakpoints must be strictly increasing")
-        scale = max(1.0, max((abs(c) for p in cs for c in p), default=1.0))
+        scale = _coeff_scale(self)
         for p in cs:
             if _poly_degree(p) > MAX_DEGREE:
                 raise DegreeCapError(f"piece degree exceeds {MAX_DEGREE}")
@@ -166,7 +162,7 @@ class PiecewisePolyOfn:
                                      (t.down_slope, t.down_offset))
 
 
-_COMBINERS = {"+": _poly_add, "-": _poly_sub, "*": _poly_mul}
+_COMBINERS = {"+": partial(_poly_zip, "+"), "-": partial(_poly_zip, "-"), "*": _poly_mul}
 
 
 def combine_sides(star: str, a: PiecewisePoly, b: PiecewisePoly) -> PiecewisePoly:
@@ -198,8 +194,7 @@ def k_neg(x: PiecewisePolyOfn) -> PiecewisePolyOfn:
 
 
 def k_scalar(r: float, x: PiecewisePolyOfn) -> PiecewisePolyOfn:
-    if not math.isfinite(r):
-        raise DomainError(f"scalar must be finite, got {r!r}")
+    r = _number(r, "scalar")
 
     def scale(pp: PiecewisePoly) -> PiecewisePoly:
         return PiecewisePoly(pp.breaks, tuple(_poly_scale(p, r) for p in pp.coeffs))
@@ -343,7 +338,7 @@ def value_preimages(pp: PiecewisePoly, v: float) -> list[float]:
     """All alpha in [0, 1] with pp(alpha) = v (intervals report both ends)."""
     out: list[float] = []
     for (lo, hi), p in zip(zip(pp.breaks, pp.breaks[1:]), pp.coeffs):
-        shifted = _poly_trim(_poly_sub(p, (v,)))
+        shifted = _poly_trim(_poly_zip("-", p, (v,)))
         if shifted == (0.0,):
             out.extend((lo, hi))
             continue

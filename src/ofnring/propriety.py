@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from .bases import BaseFunction, get_base
 from .errors import DegenerateError, DomainError, ImproperError, WrongPathology
-from .ring import (Interval, Orientation, Side, TypedOfn, _gap, _result,
-                   _up_is_low, level_set, orientation, side_eval, typed)
+from .ring import (Interval, Orientation, Side, TypedOfn, _gap, _orientation,
+                   _result, _up_is_low, level_set, side_eval)
 
 PATHOLOGY_NONE = "none"
 PATHOLOGY_II = "type-ii"
@@ -76,7 +76,7 @@ def classify(x: TypedOfn) -> ProprietyReport:
 
     return ProprietyReport(
         proper=pathology == PATHOLOGY_NONE,
-        orientation=orientation(x),
+        orientation=_orientation(identical, g0, g1),
         same_sign=same_sign,
         crossing=crossing,
         pathology=pathology,
@@ -98,13 +98,13 @@ def _keep_one_flank(x: TypedOfn, rep: ProprietyReport) -> TypedOfn:
     b = get_base(x.base)
     t = x.coeffs
     if (rep.orientation == "increasing") == (_direction(b, t.up_slope) > 0):
-        return typed(x.base, t.up_slope, t.up_offset, 0.0, t.down_offset)
-    return typed(x.base, 0.0, t.up_offset, t.down_slope, t.down_offset)
+        return _result(x.base, t.up_slope, t.up_offset, 0.0, t.down_offset)
+    return _result(x.base, 0.0, t.up_offset, t.down_slope, t.down_offset)
 
 
 def _swap_offsets(x: TypedOfn, rep: ProprietyReport) -> TypedOfn:
     t = x.coeffs
-    return typed(x.base, t.up_slope, t.down_offset, t.down_slope, t.up_offset)
+    return _result(x.base, t.up_slope, t.down_offset, t.down_slope, t.up_offset)
 
 
 def _collapse(x: TypedOfn, rep: ProprietyReport) -> TypedOfn:

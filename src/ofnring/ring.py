@@ -21,13 +21,14 @@ never form 0 * inf or inf - inf: a side with slope 0 is its offset at every
 alpha, and the gap between the sides is taken from halved coefficients when a
 difference would overflow.
 
-Every constructor a caller reaches checks its input: EssentialTuple(...)
-requires four finite real numbers and stores them as floats, TypedOfn(...)
-requires a registered base tag, and typed() and its shorthands do both.  The
-document loaders and the expression parser build through typed().  Only ring
-results skip those checks: _result builds a number from components computed out
-of checked operands, so it tests them only for overflow (ArithmeticOverflow)
-and uses the operands' base tag as it is.
+One number rule checks each coefficient a caller passes in: an int or a float,
+not a bool, whose float value is finite, so an int beyond the float range is
+refused.  EssentialTuple(...), Side(...) and scalar_mul() apply it,
+TypedOfn(...) requires a registered base tag, and typed() and its shorthands do
+both; the document loaders and the expression parser build through typed().
+Only ring results skip those checks: _result builds a number from components
+computed out of checked operands, so it tests them only for overflow
+(ArithmeticOverflow) and uses the operands' base tag as it is.
 """
 from __future__ import annotations
 
@@ -49,6 +50,18 @@ SignClass = Literal["positive", "negative", "neither"]
 _FIELDS = ("up_slope", "up_offset", "down_slope", "down_offset")
 
 
+def _number(v: object, field: str) -> float:
+    """The number rule: v as a float if it is a finite int or float, not a bool."""
+    if v.__class__ is not bool and isinstance(v, (int, float)):
+        try:
+            f = float(v)
+        except OverflowError:  # an int too large for a float
+            f = math.inf
+        if isfinite(f):
+            return f
+    raise DomainError(f"{field} must be finite, got {v!r}")
+
+
 class EssentialTuple(tuple):
     """(up_slope, up_offset, down_slope, down_offset); ordering is lexicographic.
 
@@ -60,11 +73,10 @@ class EssentialTuple(tuple):
 
     def __new__(cls, up_slope: float, up_offset: float,
                 down_slope: float, down_offset: float) -> "EssentialTuple":
-        values = (up_slope, up_offset, down_slope, down_offset)
-        for name, v in zip(_FIELDS, values):
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise DomainError(f"tuple component {name} must be finite, got {v!r}")
-        return tuple.__new__(cls, map(float, values))
+        return tuple.__new__(cls, (_number(up_slope, "tuple component up_slope"),
+                                   _number(up_offset, "tuple component up_offset"),
+                                   _number(down_slope, "tuple component down_slope"),
+                                   _number(down_offset, "tuple component down_offset")))
 
     up_slope = property(operator.itemgetter(0))
     up_offset = property(operator.itemgetter(1))
@@ -123,8 +135,8 @@ class Side:
 
     def __post_init__(self):
         get_base(self.base)
-        if not (math.isfinite(self.slope) and math.isfinite(self.offset)):
-            raise DomainError("side coefficients must be finite")
+        _number(self.slope, "side slope")
+        _number(self.offset, "side offset")
 
     def value(self, alpha: float) -> float:
         return _affine(get_base(self.base), self.slope, self.offset, alpha)
@@ -311,14 +323,18 @@ def _up_is_low(g0: float, g1: float) -> bool:
     return g0 > 0.0 or (g0 == 0.0 and g1 >= 0.0)
 
 
+def _orientation(identical: bool, g0: float, g1: float) -> Orientation:
+    """The orientation of sides that are identical or have the gaps g0, g1."""
+    if identical:
+        return "degenerate"
+    return "increasing" if _up_is_low(g0, g1) else "decreasing"
+
+
 def orientation(x: TypedOfn) -> Orientation:
     """Increasing when up is the low side; identical sides are degenerate."""
     t = x.coeffs
-    if t.up_slope == t.down_slope and t.up_offset == t.down_offset:
-        return "degenerate"
-    g0, g1 = _gap(get_base(x.base), t.up_slope, t.up_offset,
-                  t.down_slope, t.down_offset)
-    return "increasing" if _up_is_low(g0, g1) else "decreasing"
+    return _orientation(t.up_slope == t.down_slope and t.up_offset == t.down_offset,
+                        *_gap(get_base(x.base), *t))
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +407,6 @@ def neg(x: TypedOfn) -> TypedOfn:
 
 def scalar_mul(r: float, x: TypedOfn) -> TypedOfn:
     """Scale all four components by r (not the same as mul by crisp(r))."""
-    if not math.isfinite(r):
-        raise DomainError(f"scalar must be finite, got {r!r}")
-    r = float(r)  # components stay floats, as the checked constructor stores them
+    r = _number(r, "scalar")  # a float, so the components stay floats
     us, uo, ds, do = x.coeffs
     return _result(x.base, r * us, r * uo, r * ds, r * do)

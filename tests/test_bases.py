@@ -160,6 +160,16 @@ def test_register_rejects_wrong_limit_direction():
             increasing=True, limit_at_zero=0.5, value_at_one=1.0, integral=0.5))
 
 
+@pytest.mark.parametrize("integral", [math.inf, math.nan])
+def test_register_rejects_non_finite_integral(integral):
+    # rank() weighs the slopes by the integral and does not check it
+    with pytest.raises(DomainError, match="integral is not finite"):
+        register_base(BaseFunction(
+            tag="badint", func=lambda a: a, inverse_func=lambda t: t,
+            increasing=True, limit_at_zero=0.0, value_at_one=1.0, integral=integral))
+    assert "badint" not in available_tags()
+
+
 def test_register_accepts_valid_power_base():
     b = register_base(BaseFunction(
         tag="cube-root-test", func=lambda a: a ** (1 / 3),

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import ofnring
-from ofnring import demo, parse_expression
+from ofnring import OfnError, ParseError, cli, demo, parse_expression
 from ofnring.cli import main
 from ofnring.documents import ofn_from_doc
 
@@ -59,6 +59,33 @@ def test_eval_division_by_zero_is_exit_4():
 def test_eval_overflow_is_exit_4(capsys):
     assert main(["eval", "--expr", "trap(1e200,0,1,1)*trap(1e200,0,1,1)"]) == 4
     assert capsys.readouterr().err.startswith("error: overflow")
+
+
+# the README's exit-code table, by error class
+EXIT_CODES = {
+    **dict.fromkeys(("ParseError", "DocumentError", "UnknownBaseError", "DomainError"), 2),
+    **dict.fromkeys(("MixedTypeError", "FamilyMismatch"), 3),
+    **dict.fromkeys(("DivisionByZero", "ArithmeticOverflow", "ImproperError",
+                     "WrongPathology", "DegenerateError", "DegreeCapError",
+                     "RangeError", "NegativeCycle"), 4),
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_class_ends_in_its_exit_code(monkeypatch, capsys):
+    classes = [c for c in _subclasses(OfnError) if c.__module__.startswith("ofnring")]
+    assert {c.__name__: c.exit_code for c in classes} == EXIT_CODES
+    for cls in classes:
+        def fail(text, cls=cls):
+            raise cls("boom", 0) if cls is ParseError else cls("boom")
+        monkeypatch.setattr(cli, "parse_expression", fail)
+        assert main(["eval", "--expr", "crisp(1)"]) == EXIT_CODES[cls.__name__]
+        assert capsys.readouterr().err.startswith("error: boom")
 
 
 # ---------------------------------------------------------------------------

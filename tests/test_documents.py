@@ -7,8 +7,10 @@ from ofnring.expr import MAX_DEPTH
 
 
 def test_integer_too_large_for_a_float_is_a_document_error():
-    with pytest.raises(DocumentError):
-        ofn_from_doc({"base": "identity", "tuple": [1, 10 ** 400, -1, 5]})
+    for tup in ([1, 10 ** 400, -1, 5], [True, 0, 0, 0], [1, 0, -1, "5"],
+                [1, 0, -1, None], [1, 0, -1], "1,0,-1,5"):
+        with pytest.raises(DocumentError, match="^tuple must be a list of 4 finite numbers$"):
+            ofn_from_doc({"base": "identity", "tuple": tup})
 
 
 def test_unhashable_base_tag_is_a_document_error():

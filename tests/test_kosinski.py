@@ -131,8 +131,9 @@ def test_scalar_and_negation():
     assert n.down.eval(0.0) == -2.0
     h = k_scalar(0.5, a)
     assert h.down.eval(0.0) == 1.0
-    with pytest.raises(DomainError):
-        k_scalar(float("inf"), a)
+    for bad in (float("inf"), 10**400, True):
+        with pytest.raises(DomainError):
+            k_scalar(bad, a)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, BaseFunction,
                      MembershipBranch, Side, WrongPathology, classify, correct,
                      correct_combined, correct_type_ii, correct_type_iii,
                      get_base, membership, membership_eval,
-                     membership_from_sides, nesting_violation, rectangular,
-                     register_base, side_eval, trapezoid, typed)
+                     membership_from_sides, nesting_violation, orientation,
+                     rectangular, register_base, side_eval, trapezoid, typed)
 from ofnring.bases import _REGISTRY
 
-from helpers import ALL_BASES, BOUNDED_BASES, assert_tuple, random_improper, random_proper
+from helpers import (ALL_BASES, BOUNDED_BASES, assert_tuple, random_any, random_improper,
+                     random_proper)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +156,17 @@ def test_type_iii_repair_swaps_offsets_on_every_base(one_minus_cube, base):
         assert label in ("iii", "fallback")
         assert classify(fixed).proper
         repaired += 1
+
+
+@pytest.mark.parametrize("base", ALL_BASES + (ONE_MINUS_CUBE,))
+def test_classify_reads_the_orientation_rule(one_minus_cube, base):
+    rng = random.Random(29)
+    xs = [random_any(rng, base) for _ in range(500)]
+    # identical sides, sides that meet at one end, and gaps that overflow
+    xs += [typed(base, 1, 2, 1, 2), typed(base, 0, 1, 0, 1), typed(base, 1, 0, -1, 0),
+           typed(base, 0, 1, 0, 2), typed(base, -1e308, 1e308, 1e308, -1e308)]
+    for x in xs:
+        assert classify(x).orientation == orientation(x), x
 
 
 def test_correct_type_iii_swaps_offsets():

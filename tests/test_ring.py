@@ -68,9 +68,12 @@ def test_crisp_product_annihilates():
 # ---------------------------------------------------------------------------
 
 def test_tuple_rejects_non_finite():
-    for bad in (math.inf, -math.inf, math.nan):
+    # an int beyond the float range counts as not finite; a bool is no number
+    for bad in (math.inf, -math.inf, math.nan, 10**400, -10**400, True):
         with pytest.raises(DomainError):
             EssentialTuple(1.0, bad, 0.0, 0.0)
+        with pytest.raises(DomainError):
+            typed(IDENTITY, bad, 0.0, 0.0, 0.0)
     with pytest.raises(DomainError):
         EssentialTuple("1", 0.0, 0.0, 0.0)
     with pytest.raises(DomainError, match="component down_offset must be finite"):
@@ -281,8 +284,9 @@ def test_scalar_mul_scales_whole_tuple():
     x = trapezoid(1, -2, 3, -4)
     assert_tuple(scalar_mul(2.0, x), (2, -4, 6, -8))
     assert_tuple(scalar_mul(0.0, x), (0, 0, 0, 0))
-    with pytest.raises(DomainError):
-        scalar_mul(math.inf, x)
+    for bad in (math.inf, 10**400, True, "2"):
+        with pytest.raises(DomainError):
+            scalar_mul(bad, x)
     # differs from ring product with crisp(r), which fixes the slopes' offsets
     assert scalar_mul(2.0, x) != mul(crisp(2.0), x)
 
@@ -321,6 +325,14 @@ def test_side_eval_and_level_set_sqrt():
     assert level_set(x, 0.0) == Interval(0.0, 2.0)
     with pytest.raises(DomainError):
         side_eval(x, "middle", 0.5)
+
+
+def test_side_coefficients_follow_the_number_rule():
+    for bad in (10**400, "a", True, math.nan):
+        with pytest.raises(DomainError, match="side slope must be finite"):
+            Side(IDENTITY, bad, 0.0)
+        with pytest.raises(DomainError, match="side offset must be finite"):
+            Side(IDENTITY, 1.0, bad)
 
 
 def test_mixed_side_level_sets():
