@@ -11,12 +11,11 @@ loads numpy.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import DomainError, FamilyMismatch, ImproperError, MixedTypeError
-from .ring import Interval, TypedOfn, level_set, trapezoid
+from .ring import Interval, TypedOfn, _number, level_set, trapezoid
 from .propriety import classify
 
 
@@ -35,6 +34,7 @@ class SpreadFamily:
 
 
 LINEAR = SpreadFamily("linear", lambda t: t, lambda t: t)
+_CORNERS = ("corner support_lo", "corner core_lo", "corner core_hi", "corner support_hi")
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,9 @@ class LRFuzzyNumber:
     family: SpreadFamily = field(default=LINEAR)
 
     def __post_init__(self):
-        c = (self.support_lo, self.core_lo, self.core_hi, self.support_hi)
-        if any(not math.isfinite(v) for v in c):
-            raise DomainError("corners must be finite")
+        c = self.corners()
+        for v, name in zip(c, _CORNERS):
+            _number(v, name)
         if not (c[0] <= c[1] <= c[2] <= c[3]):
             raise DomainError(f"corners must be ordered, got {c}")
 

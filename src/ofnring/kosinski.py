@@ -95,13 +95,13 @@ class PiecewisePoly:
         for a, b in zip(br, br[1:]):
             if not a < b:
                 raise DomainError("breakpoints must be strictly increasing")
-        scale = _coeff_scale(self)
         for p in cs:
             if _poly_degree(p) > MAX_DEGREE:
                 raise DegreeCapError(f"piece degree exceeds {MAX_DEGREE}")
             for c in p:
-                if not math.isfinite(c):
-                    raise DomainError("coefficients must be finite")
+                if c.__class__ is not float or not math.isfinite(c):  # floats pass inline
+                    _number(c, "piece coefficient")
+        scale = _coeff_scale(self)
         for k in range(1, len(br) - 1):
             left = _poly_eval(cs[k - 1], br[k])
             right = _poly_eval(cs[k], br[k])
@@ -110,11 +110,11 @@ class PiecewisePoly:
 
     @classmethod
     def constant(cls, c: float) -> "PiecewisePoly":
-        return cls((0.0, 1.0), ((float(c),),))
+        return cls((0.0, 1.0), ((_number(c, "constant"),),))
 
     @classmethod
     def affine(cls, slope: float, offset: float) -> "PiecewisePoly":
-        return cls((0.0, 1.0), ((float(offset), float(slope)),))
+        return cls((0.0, 1.0), ((_number(offset, "offset"), _number(slope, "slope")),))
 
     def piece_at(self, t: float) -> tuple[float, ...]:
         k = bisect_right(self.breaks, t) - 1

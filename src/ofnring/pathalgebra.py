@@ -8,10 +8,15 @@ which for sides slope * h + offset is
 It is linear, so it is additive under ring addition, and that is exactly what
 makes Bellman-Ford relaxation sound here: path weights are tuple sums, paths
 compare by rank, and ties break by lexicographic tuple order so the outcome
-does not depend on edge order.
+does not depend on edge order.  shortest_paths runs the queue-driven form,
+Bellman-Ford-Moore: only a node whose distance improved is scanned again.  The
+order is translation-invariant under ring addition, so a walk that repeats a
+node improves a distance only by going round a negative cycle, and a distance
+whose walk has as many edges as the graph has nodes marks one.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -83,43 +88,61 @@ class ShortestPathResult:
     source: int
     distances: tuple[TypedOfn | None, ...]
     predecessors: tuple[int | None, ...]
+    scans: int        # nodes taken off the queue
+    relaxations: int  # edges examined, one add() each
 
 
 def shortest_paths(g: FuzzyDigraph, source: int,
                    key: RankFn = rank) -> ShortestPathResult:
-    """Bellman-Ford relaxation under the (rank, tuple) order.
+    """Queue-driven Bellman-Ford (Bellman-Ford-Moore) under the (rank, tuple) order.
+
+    A FIFO queue holds each node at most once; scanning a node relaxes its
+    out-edges in document order, and a node whose distance improves is queued
+    (Cherkassky, Goldberg & Radzik, Math. Programming 73, 1996).  This keeps
+    Bellman-Ford's O(nE) bound and its negative edges.
 
     Distances are tuple sums along the selected paths; unreachable nodes get
-    None.  A cycle that keeps improving the order raises NegativeCycle: so does
-    a relaxation that improves the source, and a cycle left in the predecessor
-    graph once relaxation stops, which rounding can leave behind without any
-    edge still improving (Cherkassky & Goldberg, Math. Programming 85, 1999).
+    None.  Each distance records how many edges its walk has, and a walk of n
+    edges on n nodes repeats a node, so a cycle that keeps improving the order
+    raises NegativeCycle there.  So does a relaxation that improves the source,
+    and a cycle left in the predecessor graph once the queue empties, which
+    rounding can leave behind without any edge still improving (Cherkassky &
+    Goldberg, Math. Programming 85, 1999).
     """
-    if not 0 <= source < g.nodes:
+    n = g.nodes
+    if not 0 <= source < n:
         raise DomainError(f"source {source} is not a node")
-    dist: list[TypedOfn | None] = [None] * g.nodes
-    keys: list[float | None] = [None] * g.nodes  # key(dist[v]), kept beside dist
-    pred: list[int | None] = [None] * g.nodes
+    out: list[list[tuple[int, TypedOfn]]] = [[] for _ in range(n)]
+    for u, v, w in g.edges:
+        out[u].append((v, w))
+    dist: list[TypedOfn | None] = [None] * n
+    keys: list[float | None] = [None] * n  # key(dist[v]), kept beside dist
+    pred: list[int | None] = [None] * n
+    hops = [0] * n  # edges on the walk that gave dist[v]
+    queued = [False] * n
     dist[source] = rectangular(0.0, 0.0, base=g.base)
     keys[source] = key(dist[source])
-    rounds = max(1, g.nodes - 1)
-    # rounds + 1 passes: an improvement in the last one is a negative cycle
-    for r in range(rounds + 1):
-        changed = False
-        for u, v, w in g.edges:
-            if dist[u] is None:
-                continue
-            cand = add(dist[u], w)
+    queue = deque([source])
+    queued[source] = True
+    scans = relaxations = 0
+    while queue:
+        u = queue.popleft()
+        queued[u] = False
+        du, h, edges = dist[u], hops[u] + 1, out[u]
+        scans += 1
+        relaxations += len(edges)
+        for v, w in edges:
+            cand = add(du, w)
             kc, kv = key(cand), keys[v]
             if dist[v] is None or (kc < kv if kc != kv else cand.coeffs < dist[v].coeffs):
-                if v == source or r == rounds:
+                if v == source or h >= n:
                     raise NegativeCycle("relaxation keeps improving; negative-rank cycle")
-                dist[v], keys[v], pred[v] = cand, kc, u
-                changed = True
-        if not changed:
-            break
+                dist[v], keys[v], pred[v], hops[v] = cand, kc, u, h
+                if not queued[v]:
+                    queued[v] = True
+                    queue.append(v)
     _check_predecessor_tree(pred)
-    return ShortestPathResult(source, tuple(dist), tuple(pred))
+    return ShortestPathResult(source, tuple(dist), tuple(pred), scans, relaxations)
 
 
 def _check_predecessor_tree(pred: list[int | None]) -> None:

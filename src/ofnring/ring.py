@@ -52,6 +52,8 @@ _FIELDS = ("up_slope", "up_offset", "down_slope", "down_offset")
 
 def _number(v: object, field: str) -> float:
     """The number rule: v as a float if it is a finite int or float, not a bool."""
+    if v.__class__ is float and isfinite(v):  # the common case, decided at once
+        return v
     if v.__class__ is not bool and isinstance(v, (int, float)):
         try:
             f = float(v)
@@ -102,7 +104,11 @@ class Interval:
     hi: float
 
     def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi:
+        try:
+            bad = math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi
+        except (OverflowError, TypeError):  # an int beyond the float range, or no number
+            bad = True
+        if bad:
             raise DomainError(f"bad interval [{self.lo}, {self.hi}]")
 
     def contains_value(self, v: float) -> bool:

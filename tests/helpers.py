@@ -10,8 +10,10 @@ import random
 from collections import defaultdict
 
 from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, FuzzyDigraph,
-                     TypedOfn, add, classify, rank, rectangular, typed)
+                     NegativeCycle, TypedOfn, add, classify, rank, rectangular,
+                     typed)
 from ofnring.bases import get_base
+from ofnring.pathalgebra import _check_predecessor_tree
 
 ALL_BASES = (IDENTITY, SQRT, GAUSSIAN_INVERSE, LOG)
 BOUNDED_BASES = (IDENTITY, SQRT)
@@ -89,3 +91,66 @@ def exhaustive_min_paths(g: FuzzyDigraph, source: int,
 
     visit(source, start, frozenset({source}))
     return best
+
+
+def random_digraph(rng: random.Random, base: str, nodes: int, edges: int,
+                   kind: str = "nonneg") -> FuzzyDigraph:
+    """A seeded digraph of proper weights with ranks in [0.5, 3].
+
+    Pairs are drawn with replacement, so parallel edges and self-loops occur.
+    The last max(1, nodes // 10) nodes get out-edges but no in-edges, so they
+    are unreachable from node 0.  `negedge` shifts each weight by the crisp
+    potential difference p(u) - p(v), which makes some edges negative and no
+    cycle negative; `negcycle` then plants the cycle 1 -> 2 -> 3 -> 1 of rank
+    -3 behind the edge 0 -> 1.
+    """
+    reached = nodes - max(1, nodes // 10)
+    potential = [rng.uniform(-4.0, 4.0) for _ in range(nodes)]
+    out = []
+    for _ in range(edges):
+        u, v = rng.randrange(nodes), rng.randrange(reached)
+        x = random_proper(rng, base, rng.choice(("increasing", "decreasing")))
+        shift = rng.uniform(0.5, 3.0) - rank(x)
+        if kind != "nonneg":
+            shift += potential[u] - potential[v]
+        us, uo, ds, do = x.coeffs
+        out.append((u, v, typed(base, us, uo + shift, ds, do + shift)))
+    if kind == "negcycle":
+        minus_one = rectangular(-1.0, -1.0, base=base)
+        out += [(0, 1, rectangular(1.0, 1.0, base=base)), (1, 2, minus_one),
+                (2, 3, minus_one), (3, 1, minus_one)]
+    return FuzzyDigraph(nodes, tuple(out))
+
+
+def round_robin_shortest_paths(g: FuzzyDigraph, source: int, key=rank
+                               ) -> tuple[tuple[TypedOfn | None, ...],
+                                          tuple[int | None, ...]]:
+    """(distances, predecessors) by round-robin Bellman-Ford: the test oracle.
+
+    Every pass relaxes every edge in document order, under the same
+    (rank, tuple) order and strict-improvement test as shortest_paths.  After
+    n - 1 passes an improvement in one more pass is a negative cycle, as is an
+    improvement of the source or a cycle of predecessors.
+    """
+    dist: list[TypedOfn | None] = [None] * g.nodes
+    keys: list[float | None] = [None] * g.nodes
+    pred: list[int | None] = [None] * g.nodes
+    dist[source] = rectangular(0.0, 0.0, base=g.base)
+    keys[source] = key(dist[source])
+    rounds = max(1, g.nodes - 1)
+    for r in range(rounds + 1):
+        changed = False
+        for u, v, w in g.edges:
+            if dist[u] is None:
+                continue
+            cand = add(dist[u], w)
+            kc, kv = key(cand), keys[v]
+            if dist[v] is None or (kc < kv if kc != kv else cand.coeffs < dist[v].coeffs):
+                if v == source or r == rounds:
+                    raise NegativeCycle("relaxation keeps improving")
+                dist[v], keys[v], pred[v] = cand, kc, u
+                changed = True
+        if not changed:
+            break
+    _check_predecessor_tree(pred)
+    return tuple(dist), tuple(pred)

@@ -25,6 +25,12 @@ def test_corner_validation():
     assert n.corners() == (0.0, 1.0, 2.0, 3.0)
 
 
+def test_corners_follow_the_number_rule():
+    for corners in ((0, 1, 2, 10**400), (-10**400, 1, 2, 3), (0.0, True, 2.0, 3.0)):
+        with pytest.raises(DomainError):
+            LRFuzzyNumber(*corners)
+
+
 def test_membership_five_cases():
     n = LRFuzzyNumber(0.0, 1.0, 2.0, 3.0)
     assert lr_membership(n, -1.0) == 0.0

@@ -35,6 +35,18 @@ def test_piecewise_validation():
         PiecewisePoly((0.0, 1.0), (tuple(range(10)),))
 
 
+def test_piecewise_coefficients_follow_the_number_rule():
+    with pytest.raises(DomainError):
+        PiecewisePoly.affine(10**400, 0)
+    with pytest.raises(DomainError):
+        PiecewisePoly.constant(10**400)
+    with pytest.raises(DomainError):
+        PiecewisePoly((0.0, 1.0), ((True,),))
+    with pytest.raises(DomainError):
+        PiecewisePoly((0.0, 0.5, 1.0), ((10**400,), (0.0,)))
+    assert PiecewisePoly.affine(2, 1).coeffs == ((1.0, 2.0),)
+
+
 def test_piecewise_eval():
     p = PiecewisePoly.affine(2.0, 1.0)
     assert p.eval(0.0) == 1.0

@@ -4,13 +4,16 @@ import random
 
 import pytest
 
-from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, DomainError,
-                     FuzzyDigraph, MixedTypeError, NegativeCycle, crisp,
-                     get_base, ofn_min, pointwise_min_report, rank,
-                     rectangular, scalar_mul, shortest_paths, trapezoid,
-                     typed)
+from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, BaseFunction,
+                     DomainError, FuzzyDigraph, MixedTypeError, NegativeCycle,
+                     crisp, get_base, ofn_min, pointwise_min_report, rank,
+                     rectangular, register_base, scalar_mul, shortest_paths,
+                     trapezoid, typed)
+from ofnring import pathalgebra
+from ofnring.bases import _REGISTRY
 
-from helpers import ALL_BASES, close, exhaustive_min_paths, random_any
+from helpers import (ALL_BASES, close, exhaustive_min_paths, random_any,
+                     random_digraph, round_robin_shortest_paths)
 
 
 def test_rank_pinned_values():
@@ -200,3 +203,105 @@ def test_gaussian_weights_route_by_rank():
     res = shortest_paths(g, 0)
     assert rank(res.distances[2]) == 2.0
     assert res.predecessors[2] == 1
+
+
+# ---------------------------------------------------------------------------
+# the queue-driven loop against the round-robin oracle
+# ---------------------------------------------------------------------------
+
+CUBE = "cube-path-test"
+
+
+@pytest.fixture
+def cube():
+    register_base(BaseFunction(
+        tag=CUBE, func=lambda a: a ** 3, inverse_func=lambda t: t ** (1 / 3),
+        increasing=True, limit_at_zero=0.0, value_at_one=1.0, integral=0.25))
+    try:
+        yield CUBE
+    finally:
+        _REGISTRY.pop(CUBE, None)
+
+
+def outcome(run, g: FuzzyDigraph):
+    """(distances, predecessors), or "NegativeCycle" when run raises it."""
+    try:
+        return run(g, 0)
+    except NegativeCycle:
+        return "NegativeCycle"
+
+
+def queue_driven(g: FuzzyDigraph, source: int):
+    res = shortest_paths(g, source)
+    return res.distances, res.predecessors
+
+
+@pytest.mark.parametrize("kind", ["nonneg", "negedge", "negcycle"])
+@pytest.mark.parametrize("base", ALL_BASES + (CUBE,))
+def test_queue_driven_matches_round_robin(cube, base, kind):
+    rng = random.Random(f"{base}/{kind}")
+    pairs = []
+    for nodes, edges in ((4, 8), (6, 14), (12, 40), (40, 160)):
+        g = random_digraph(rng, base, nodes, edges, kind)
+        pairs += [(u, v) for u, v, _ in g.edges]
+        want = outcome(round_robin_shortest_paths, g)
+        assert outcome(queue_driven, g) == want
+        if kind == "negcycle":
+            assert want == "NegativeCycle"
+        else:
+            distances, _ = want
+            assert distances[-1] is None  # the generator leaves it unreachable
+    assert any(u == v for u, v in pairs)  # self-loops
+    assert len(set(pairs)) < len(pairs)  # parallel edges
+
+
+def test_relaxations_stay_below_two_per_edge():
+    nodes, edges = 200, 2000
+    g = random_digraph(random.Random(8), IDENTITY, nodes, edges)
+    res = shortest_paths(g, 0)
+    # full passes over every edge take 4.2 * E on this graph, the queue 1.09 * E
+    assert res.relaxations <= 2 * edges
+    assert res.scans <= res.relaxations
+    assert (res.distances, res.predecessors) == round_robin_shortest_paths(g, 0)
+
+
+def test_relaxations_count_the_add_calls(monkeypatch):
+    calls = 0
+    ring_add = pathalgebra.add
+
+    def counting_add(x, y):
+        nonlocal calls
+        calls += 1
+        return ring_add(x, y)
+
+    monkeypatch.setattr(pathalgebra, "add", counting_add)
+    res = shortest_paths(random_digraph(random.Random(9), SQRT, 60, 400, "negedge"), 0)
+    assert res.relaxations == calls > 0
+
+
+def test_negative_self_loop_is_a_negative_cycle():
+    for g in (FuzzyDigraph(2, ((0, 1, crisp(1.0)), (1, 1, crisp(-1.0)))),
+              FuzzyDigraph(2, ((0, 0, crisp(-1.0)), (0, 1, crisp(1.0))))):
+        with pytest.raises(NegativeCycle):
+            shortest_paths(g, 0)
+
+
+def test_cycle_of_rank_zero_below_zero_in_tuple_order_is_negative():
+    # each lap adds (-2, 0, 2, 0): rank 0, but lower in the tuple order, so
+    # the distances improve for ever and only the edge count of the walk stops them
+    w = trapezoid(-1, 0, 1, 0)
+    assert rank(w + w) == 0.0
+    g = FuzzyDigraph(3, ((0, 1, crisp(0.0)), (1, 2, w), (2, 1, w)))
+    with pytest.raises(NegativeCycle):
+        shortest_paths(g, 0)
+    assert outcome(round_robin_shortest_paths, g) == "NegativeCycle"
+
+
+def test_zero_cycle_terminates():
+    zero = crisp(0.0)
+    g = FuzzyDigraph(4, ((0, 1, crisp(1.0)), (1, 2, zero), (2, 1, zero),
+                         (2, 3, crisp(2.0)), (1, 0, zero)))
+    res = shortest_paths(g, 0)
+    assert (res.distances, res.predecessors) == round_robin_shortest_paths(g, 0)
+    assert res.predecessors == (None, 0, 1, 2)
+    assert rank(res.distances[3]) == 3.0

@@ -205,6 +205,14 @@ def test_interval_validation_and_relations():
     assert i.width == 2.0
 
 
+def test_interval_rejects_ints_beyond_the_float_range():
+    with pytest.raises(DomainError):
+        Interval(10**400, 10**401)
+    with pytest.raises(DomainError):
+        Interval(0.0, -10**400)
+    assert Interval(-math.inf, math.inf).width == math.inf
+
+
 # ---------------------------------------------------------------------------
 # ring axioms
 # ---------------------------------------------------------------------------
