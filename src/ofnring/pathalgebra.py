@@ -79,7 +79,8 @@ class FuzzyDigraph:
                 raise DomainError(f"edge ({u}, {v}) leaves the node range")
             if not w.is_rectangular:
                 first = first or w
-                _result_base(first, w)
+                if w.base != first.base:
+                    _result_base(first, w)
         object.__setattr__(self, "base", first.base if first else self.base)
 
 

@@ -25,10 +25,13 @@ One number rule checks each coefficient a caller passes in: an int or a float,
 not a bool, whose float value is finite, so an int beyond the float range is
 refused.  EssentialTuple(...), Side(...) and scalar_mul() apply it,
 TypedOfn(...) requires a registered base tag, and typed() and its shorthands do
-both; the document loaders and the expression parser build through typed().
-Only ring results skip those checks: _result builds a number from components
+both; the expression parser builds through typed().  The document loader
+resolves the tag to its registry record itself, checks the numbers through
+EssentialTuple(...), and joins the two with _typed_on, which looks nothing up
+again.  Ring results skip the checks: _result builds a number from components
 computed out of checked operands, so it tests them only for overflow
-(ArithmeticOverflow) and uses the operands' base tag as it is.
+(ArithmeticOverflow) and uses the operands' base tag as it is.  The sides of a
+number (up_side, down_side) are built the same way, unchecked.
 """
 from __future__ import annotations
 
@@ -68,13 +71,18 @@ class EssentialTuple(tuple):
     """(up_slope, up_offset, down_slope, down_offset); ordering is lexicographic.
 
     A tuple of four finite floats, so equality, hashing and order are the
-    tuple's own.
+    tuple's own.  Four floats whose sum is finite are all finite and are taken
+    at once; any other value goes through the number rule.
     """
 
     __slots__ = ()
 
     def __new__(cls, up_slope: float, up_offset: float,
                 down_slope: float, down_offset: float) -> "EssentialTuple":
+        if (up_slope.__class__ is up_offset.__class__ is down_slope.__class__
+                is down_offset.__class__ is float
+                and isfinite(up_slope + up_offset + down_slope + down_offset)):
+            return tuple.__new__(cls, (up_slope, up_offset, down_slope, down_offset))
         return tuple.__new__(cls, (_number(up_slope, "tuple component up_slope"),
                                    _number(up_offset, "tuple component up_offset"),
                                    _number(down_slope, "tuple component down_slope"),
@@ -154,6 +162,13 @@ class Side:
                 self.slope * b.value_at_one + self.offset)
 
 
+def _side(base: str, slope: float, offset: float) -> Side:
+    """A Side of a number, whose base tag and coefficients are already checked."""
+    s = object.__new__(Side)
+    s.__dict__.update(base=base, slope=slope, offset=offset)
+    return s
+
+
 def _affine(b: BaseFunction, slope: float, offset: float, alpha: float) -> float:
     if slope == 0.0:
         return offset
@@ -195,10 +210,10 @@ class TypedOfn:
         return self.coeffs.up_slope == 0.0 and self.coeffs.down_slope == 0.0
 
     def up_side(self) -> Side:
-        return Side(self.base, self.coeffs.up_slope, self.coeffs.up_offset)
+        return _side(self.base, self.coeffs.up_slope, self.coeffs.up_offset)
 
     def down_side(self) -> Side:
-        return Side(self.base, self.coeffs.down_slope, self.coeffs.down_offset)
+        return _side(self.base, self.coeffs.down_slope, self.coeffs.down_offset)
 
     def __add__(self, other: "TypedOfn") -> "TypedOfn":
         return add(self, other)
@@ -216,9 +231,17 @@ class TypedOfn:
         return neg(self)
 
 
-# the slots, written past TypedOfn.__setattr__ by __init__ and _result
+# the slots, written past TypedOfn.__setattr__ by __init__, _typed_on and _result
 _set_base = TypedOfn.base.__set__
 _set_coeffs = TypedOfn.coeffs.__set__
+
+
+def _typed_on(tag: str, coeffs: EssentialTuple) -> TypedOfn:
+    """TypedOfn(tag, coeffs) for a tag just taken from its registry record."""
+    x = object.__new__(TypedOfn)
+    _set_base(x, tag)
+    _set_coeffs(x, coeffs)
+    return x
 
 
 def typed(base: str, up_slope: float, up_offset: float,

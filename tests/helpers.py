@@ -9,10 +9,13 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 
-from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, FuzzyDigraph,
-                     NegativeCycle, TypedOfn, add, classify, rank, rectangular,
-                     typed)
-from ofnring.bases import get_base
+from typing import Any
+
+from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, DocumentError,
+                     DomainError, FuzzyDigraph, NegativeCycle, TypedOfn, add,
+                     classify, rank, rectangular, typed)
+from ofnring.bases import base_named, get_base
+from ofnring.documents import MAX_NODES
 from ofnring.pathalgebra import _check_predecessor_tree
 
 ALL_BASES = (IDENTITY, SQRT, GAUSSIAN_INVERSE, LOG)
@@ -154,3 +157,48 @@ def round_robin_shortest_paths(g: FuzzyDigraph, source: int, key=rank
             break
     _check_predecessor_tree(pred)
     return tuple(dist), tuple(pred)
+
+
+def reference_ofn_from_doc(doc: Any) -> TypedOfn:
+    """An OFN document checked for its shape, then built by typed(): the test oracle.
+
+    Every weight looks its tag up in the registry and has its numbers checked
+    by typed(), so nothing is carried from one document to the next.
+    """
+    if not isinstance(doc, dict):
+        raise DocumentError(f"expected an object, got {type(doc).__name__}")
+    extra = set(doc) - {"base", "tuple"}
+    if extra:
+        raise DocumentError(f"unexpected keys {sorted(extra)}")
+    tag = doc.get("base")
+    if (b := base_named("doc_tag", tag)) is None:
+        raise DocumentError(f"unknown base tag {tag!r}")
+    tup = doc.get("tuple")
+    try:
+        if isinstance(tup, list) and len(tup) == 4:
+            return typed(b.tag, *tup)
+    except DomainError:
+        pass
+    raise DocumentError("tuple must be a list of 4 finite numbers")
+
+
+def reference_graph_from_doc(doc: Any) -> FuzzyDigraph:
+    """A graph document loaded edge by edge through reference_ofn_from_doc."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), int) \
+            or isinstance(doc.get("nodes"), bool):
+        raise DocumentError('graph document needs an integer "nodes" field')
+    if doc["nodes"] > MAX_NODES:
+        raise DocumentError(f'"nodes" exceeds the cap of {MAX_NODES}')
+    edges_doc = doc.get("edges")
+    if not isinstance(edges_doc, list):
+        raise DocumentError('graph document needs an "edges" list')
+    edges = []
+    for e in edges_doc:
+        if not isinstance(e, dict) or not {"from", "to", "weight"} <= set(e):
+            raise DocumentError('each edge needs "from", "to" and "weight"')
+        u, v = e["from"], e["to"]
+        if isinstance(u, bool) or isinstance(v, bool) \
+                or not isinstance(u, int) or not isinstance(v, int):
+            raise DocumentError("edge endpoints must be integers")
+        edges.append((u, v, reference_ofn_from_doc(e["weight"])))
+    return FuzzyDigraph(doc["nodes"], tuple(edges))

@@ -1,9 +1,18 @@
 """The input boundary: OFN documents and expression text that must be refused."""
+import itertools
+import math
+import random
+from enum import IntEnum
+
 import pytest
 
-from ofnring import DocumentError, ParseError, crisp, parse_expression
+from ofnring import (BaseFunction, DocumentError, ParseError, crisp, documents,
+                     parse_expression, register_base)
+from ofnring.bases import _REGISTRY, base_named
 from ofnring.documents import MAX_NODES, graph_from_doc, ofn_from_doc
 from ofnring.expr import MAX_DEPTH
+
+from helpers import reference_graph_from_doc, reference_ofn_from_doc
 
 
 def test_integer_too_large_for_a_float_is_a_document_error():
@@ -32,3 +41,197 @@ def test_graph_nodes_are_capped():
     for nodes in (MAX_NODES + 1, 10**12):
         with pytest.raises(DocumentError):
             graph_from_doc({"nodes": nodes, "edges": []})
+
+
+# ---------------------------------------------------------------------------
+# the loader against the reference loader in helpers
+# ---------------------------------------------------------------------------
+
+CUBE = "cube-doc-test"
+CUBE_DOC = "cubic-doc-test"
+DOC_TAGS = ("identity", "sqrt", "gaussian", "exponential", CUBE_DOC)
+
+
+@pytest.fixture
+def cube_doc_tag():
+    register_base(BaseFunction(
+        tag=CUBE, func=lambda a: a ** 3, inverse_func=lambda t: t ** (1 / 3),
+        increasing=True, limit_at_zero=0.0, value_at_one=1.0, integral=0.25,
+        doc_tag=CUBE_DOC))
+    try:
+        yield CUBE_DOC
+    finally:
+        _REGISTRY.pop(CUBE, None)
+
+
+class Slot(IntEnum):
+    ZERO = 0
+    ONE = 1
+    TWO = 2
+
+
+class Tag(str):
+    """A str subclass: equal to a doc tag, but not a str by class."""
+
+
+BAD_TAGS = ("nope", "", "Identity", ["identity"], {"identity": 1}, None, 1, 1.5, True)
+BAD_ENTRIES = (True, False, 10 ** 400, -10 ** 400, "5", None, math.nan, math.inf,
+               -math.inf, [1.0])
+BAD_TUPLES = ([], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0, 5.0], (1.0, 0.0, -1.0, 2.0),
+              "1,0,-1,5", None)
+BAD_ENDPOINTS = (True, False, 1.0, "1", None)
+
+
+def _entry(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.choice((0, 1, -2, 10 ** 300, 2 ** 53 + 1, Slot.TWO))
+    if kind == 1:
+        return rng.choice((0.0, -0.0, 1e308, -5e-324))
+    return rng.uniform(-10.0, 10.0)
+
+
+def _weight(rng, tag, slopes=True):
+    tup = [_entry(rng) for _ in range(4)]
+    if not slopes:
+        tup[0] = tup[2] = 0.0
+    return {"base": tag, "tuple": tup}
+
+
+def _bad_weight(rng, tag):
+    w = _weight(rng, tag)
+    fault = rng.randrange(7)
+    if fault == 0:
+        return rng.choice(([1.0, 0.0, -1.0, 2.0], tag, None, 3))
+    if fault == 1:
+        w[rng.choice(("extra", "Base", "tuples"))] = 1
+    elif fault == 2:
+        del w[rng.choice(("base", "tuple"))]
+    elif fault == 3:
+        w["base"] = rng.choice(BAD_TAGS)
+    elif fault == 4:
+        w["tuple"][rng.randrange(4)] = rng.choice(BAD_ENTRIES)
+    elif fault == 5:
+        w["tuple"] = rng.choice(BAD_TUPLES)
+    else:
+        w["base"] = rng.choice([t for t in DOC_TAGS if t != tag])  # MixedTypeError
+    return w
+
+
+def _edge(rng, nodes, tag, bad):
+    e = {"from": rng.randrange(nodes), "to": Slot(rng.randrange(min(nodes, 3))),
+         "weight": _weight(rng, tag)}
+    if rng.random() < 0.3:  # a rectangular weight on any base fits a typed graph
+        e["weight"] = _weight(rng, rng.choice(DOC_TAGS + (Tag(tag),)), slopes=False)
+    if rng.random() < 0.1:
+        e["label"] = "extra edge keys are allowed"
+    if not bad:
+        return e
+    fault = rng.randrange(8)  # half of the faults are in the weight
+    if fault == 0:
+        return rng.choice(([0, 1, e["weight"]], None, "edge"))
+    if fault == 1:
+        del e[rng.choice(("from", "to", "weight"))]
+    elif fault == 2:
+        e[rng.choice(("from", "to"))] = rng.choice(BAD_ENDPOINTS)
+    elif fault == 3:
+        e[rng.choice(("from", "to"))] = rng.choice((nodes, -1, 10 ** 20))
+    else:
+        e["weight"] = _bad_weight(rng, tag)
+    return e
+
+
+def _graph_doc(rng, tag):
+    nodes = rng.randint(1, 8)
+    edges = [_edge(rng, nodes, tag, rng.random() < 0.08) for _ in range(rng.randint(0, 12))]
+    doc = {"nodes": nodes, "edges": edges}
+    if rng.random() < 0.05:
+        doc = rng.choice(({"nodes": rng.choice((True, 2.0, "2", None, 0, -1, MAX_NODES + 1)),
+                           "edges": edges},
+                          {"nodes": nodes, "edges": rng.choice((None, {}, "[]"))},
+                          {"nodes": nodes}, {"edges": edges}, [nodes, edges], None))
+    return doc
+
+
+def _outcome(load, doc):
+    """repr of what load(doc) returns, or the class and message of what it raises."""
+    try:
+        return repr(load(doc))
+    except Exception as e:
+        return type(e), str(e)
+
+
+def test_loader_matches_the_reference_loader(cube_doc_tag):
+    rng = random.Random(41)
+    loaded = set()
+    failed = 0
+    for k in range(1500):
+        tag = DOC_TAGS[k % len(DOC_TAGS)]
+        doc = _graph_doc(rng, tag)
+        got = _outcome(graph_from_doc, doc)
+        assert got == _outcome(reference_graph_from_doc, doc), doc
+        if isinstance(got, str):
+            loaded.add(graph_from_doc(doc).base)
+        else:
+            failed += 1
+        edges = doc.get("edges") if isinstance(doc, dict) else None
+        for e in edges if isinstance(edges, list) else ():
+            w = e.get("weight") if isinstance(e, dict) else e
+            assert _outcome(ofn_from_doc, w) == _outcome(reference_ofn_from_doc, w), w
+    assert loaded == {"identity", "sqrt", "gaussian-inverse", "log", CUBE}
+    assert 200 < failed < 1000
+
+
+def test_first_bad_edge_decides_the_error():
+    rng = random.Random(43)
+    good = [{"from": rng.randrange(50), "to": rng.randrange(50),
+             "weight": _weight(rng, "sqrt")} for _ in range(300)]
+    bad = {"tuple": {"from": 1, "to": 2, "weight": {"base": "sqrt", "tuple": [1, 0, -1]}},
+           "tag": {"from": 1, "to": 2, "weight": {"base": "nope", "tuple": [1, 0, -1, 2]}},
+           "endpoint": {"from": 1.0, "to": 2, "weight": _weight(rng, "sqrt")},
+           "range": {"from": 50, "to": 2, "weight": _weight(rng, "sqrt")},
+           "mixed": {"from": 1, "to": 2, "weight": _weight(rng, "identity")}}
+    for first, second in itertools.permutations(bad, 2):
+        edges = list(good)
+        edges[200], edges[250] = bad[first], bad[second]
+        doc = {"nodes": 50, "edges": edges}
+        # the loader stops at its first fault; the graph's own checks (node
+        # range, mixed bases) run after loading, so a later loader fault wins
+        cut = 250 if first in ("range", "mixed") and second in ("tuple", "tag", "endpoint") else 200
+        want = _outcome(reference_graph_from_doc, {"nodes": 50, "edges": edges[:cut + 1]})
+        assert isinstance(want, tuple)
+        assert _outcome(graph_from_doc, doc) == want == _outcome(reference_graph_from_doc, doc)
+
+
+def test_graph_resolves_each_tag_once(monkeypatch):
+    calls = []
+
+    def counting(field, name):
+        calls.append(name)
+        return base_named(field, name)
+
+    monkeypatch.setattr(documents, "base_named", counting)
+    rng = random.Random(47)
+    edges = [{"from": rng.randrange(100), "to": rng.randrange(100),
+              "weight": _weight(rng, "gaussian")} for _ in range(1000)]
+    assert graph_from_doc({"nodes": 100, "edges": edges}).base == "gaussian-inverse"
+    assert calls == ["gaussian"]
+    calls.clear()
+    edges[500:] = [{"from": 0, "to": 1, "weight": _weight(rng, "sqrt", slopes=False)}] * 500
+    graph_from_doc({"nodes": 100, "edges": edges})
+    assert calls == ["gaussian", "sqrt"]
+    calls.clear()
+    ofn_from_doc(edges[0]["weight"])
+    ofn_from_doc(edges[0]["weight"])
+    assert calls == ["gaussian", "gaussian"]
+
+
+def test_no_tag_lookup_outlives_a_load(cube_doc_tag):
+    doc = {"nodes": 2, "edges": [{"from": 0, "to": 1,
+                                  "weight": {"base": CUBE_DOC, "tuple": [1, 0, -1, 2]}}]}
+    assert graph_from_doc(doc).base == CUBE
+    assert ofn_from_doc(doc["edges"][0]["weight"]).base == CUBE
+    _REGISTRY.pop(CUBE)
+    for load in (graph_from_doc, lambda d: ofn_from_doc(d["edges"][0]["weight"])):
+        with pytest.raises(DocumentError, match=f"^unknown base tag '{CUBE_DOC}'$"):
+            load(doc)

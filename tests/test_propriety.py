@@ -5,12 +5,13 @@ import random
 import pytest
 
 from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, BaseFunction,
-                     DegenerateError, DomainError, ImproperError,
-                     MembershipBranch, Side, WrongPathology, classify, correct,
-                     correct_combined, correct_type_ii, correct_type_iii,
-                     get_base, membership, membership_eval,
+                     DegenerateError, DomainError, ImproperError, Interval,
+                     MembershipBranch, OfnError, Side, WrongPathology, classify,
+                     correct, correct_combined, correct_type_ii,
+                     correct_type_iii, get_base, membership, membership_eval,
                      membership_from_sides, nesting_violation, orientation,
-                     rectangular, register_base, side_eval, trapezoid, typed)
+                     rectangular, register_base, side_eval, support, trapezoid,
+                     typed)
 from ofnring.bases import _REGISTRY
 
 from helpers import (ALL_BASES, BOUNDED_BASES, assert_tuple, random_any, random_improper,
@@ -336,6 +337,31 @@ def test_membership_rejects_exactly_what_classify_calls_improper(one_minus_cube,
             assert not proper, x
         else:
             assert proper, x
+
+
+def _outcome(f, *args):
+    """f(*args), or the class and message of the OfnError it raised."""
+    try:
+        return f(*args)
+    except OfnError as e:
+        return type(e), str(e)
+
+
+def _support_of_sides(up: Side, down: Side) -> Interval:
+    ends = up.value_limits() + down.value_limits()
+    return Interval(min(ends), max(ends))
+
+
+@pytest.mark.parametrize("base", ALL_BASES + (ONE_MINUS_CUBE,))
+def test_sides_of_a_number_match_checked_sides(one_minus_cube, base):
+    # up_side/down_side skip Side's checks; the results must not notice
+    rng = random.Random(31)
+    for x in _property_numbers(rng, base, 1000):
+        us, uo, ds, do = x.coeffs
+        up, down = Side(base, us, uo), Side(base, ds, do)
+        assert (x.up_side(), x.down_side()) == (up, down)
+        assert _outcome(membership, x) == _outcome(membership_from_sides, up, down), x
+        assert _outcome(support, x) == _outcome(_support_of_sides, up, down), x
 
 
 @pytest.mark.parametrize("x", [
