@@ -22,9 +22,9 @@ import importlib
 from .bases import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, BaseFunction,
                     available_tags, get_base, register_base)
 from .errors import (ArithmeticOverflow, DegenerateError, DegreeCapError,
-                     DivisionByZero, DocumentError, DomainError, FamilyMismatch,
-                     ImproperError, MixedTypeError, NegativeCycle, OfnError,
-                     ParseError, RangeError, UnknownBaseError, WrongPathology)
+                     DivisionByZero, DocumentError, DomainError, ImproperError,
+                     MixedTypeError, NegativeCycle, OfnError, ParseError,
+                     RangeError, UnknownBaseError, WrongPathology)
 from .expr import parse_expression
 from .pathalgebra import (FuzzyDigraph, ShortestPathResult, ofn_min,
                           pointwise_min_report, rank, shortest_paths)
@@ -48,9 +48,9 @@ _LAZY = {
                  "k_neg", "k_op", "k_scalar", "value_preimages"),
     "piasecki": ("CONSTANT", "PRODUCT_FORM", "PiaseckiResult", "TrapezoidCorners",
                  "p_closure_check", "p_op"),
-    "classical": ("LINEAR", "LRFuzzyNumber", "SpreadFamily", "from_typed_trapezoid",
-                  "levelset_add", "lr_level_set", "lr_membership",
-                  "to_typed_trapezoid", "zadeh_add_grid", "zadeh_mul_levelsets"),
+    "classical": ("LRFuzzyNumber", "from_typed_trapezoid", "levelset_add",
+                  "lr_level_set", "lr_membership", "to_typed_trapezoid",
+                  "zadeh_add_grid", "zadeh_mul_levelsets"),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 
@@ -77,19 +77,12 @@ __all__ = [
     "correct", "correct_type_ii", "correct_type_iii", "correct_combined",
     "MembershipBranch", "MembershipFunction", "membership",
     "membership_from_sides", "membership_eval", "nesting_violation",
-    "PiecewisePoly", "PiecewisePolyOfn", "FunctionProprietyReport",
-    "combine_sides", "k_op", "k_neg", "k_scalar", "k_is_proper",
-    "value_preimages", "corresponding_membership",
-    "TrapezoidCorners", "PiaseckiResult", "CONSTANT", "PRODUCT_FORM",
-    "p_op", "p_closure_check",
-    "SpreadFamily", "LINEAR", "LRFuzzyNumber", "lr_membership",
-    "lr_level_set", "levelset_add", "zadeh_add_grid", "zadeh_mul_levelsets",
-    "from_typed_trapezoid", "to_typed_trapezoid",
     "rank", "ofn_min", "pointwise_min_report", "FuzzyDigraph",
     "ShortestPathResult", "shortest_paths",
     "parse_expression",
     "OfnError", "DomainError", "RangeError", "UnknownBaseError",
     "MixedTypeError", "DivisionByZero", "ImproperError", "DegenerateError",
-    "WrongPathology", "DegreeCapError", "FamilyMismatch", "NegativeCycle",
+    "WrongPathology", "DegreeCapError", "NegativeCycle",
     "ParseError", "DocumentError", "ArithmeticOverflow",
+    *_LAZY_MODULE,
 ]

@@ -1,9 +1,11 @@
 """Classical L-R fuzzy numbers and extension-principle oracles.
 
 This module is the reference semantics the ring is audited against: orthodox
-fuzzy numbers with shape functions L and R, convex level sets, level-set
-(interval) arithmetic, and two brute-force extension-principle evaluators.
-Nothing here knows about orientation; that is the point.
+fuzzy numbers with convex level sets, level-set (interval) arithmetic, and
+two brute-force extension-principle evaluators.  Nothing here knows about
+orientation; that is the point.  The flanks are linear only: membership
+rises in a straight line from a support end to the core, so a number is its
+four corners, which is how a proper identity-base OFN reads classically.
 
 Only the sampled sup-min grid, `zadeh_add_grid`, needs numpy, and it imports
 numpy when it is called: importing this module, the package or the CLI never
@@ -11,41 +13,23 @@ loads numpy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
-from .errors import DomainError, FamilyMismatch, ImproperError, MixedTypeError
+from .errors import DomainError, ImproperError, MixedTypeError
 from .ring import Interval, TypedOfn, _number, level_set, trapezoid
 from .propriety import classify
 
-
-@dataclass(frozen=True)
-class SpreadFamily:
-    """A pair of decreasing-shape generators via an increasing bijection of [0,1].
-
-    `fwd` maps the normalized distance into membership (L and R share it
-    here), `inv` recovers the distance from a level.  The shipped family is
-    linear, giving straight trapezoid flanks.
-    """
-
-    tag: str
-    fwd: Callable[[float], float]
-    inv: Callable[[float], float]
-
-
-LINEAR = SpreadFamily("linear", lambda t: t, lambda t: t)
 _CORNERS = ("corner support_lo", "corner core_lo", "corner core_hi", "corner support_hi")
 
 
 @dataclass(frozen=True)
 class LRFuzzyNumber:
-    """Corners support_lo <= core_lo <= core_hi <= support_hi plus the family."""
+    """Corners support_lo <= core_lo <= core_hi <= support_hi; the flanks are straight."""
 
     support_lo: float
     core_lo: float
     core_hi: float
     support_hi: float
-    family: SpreadFamily = field(default=LINEAR)
 
     def __post_init__(self):
         c = self.corners()
@@ -73,28 +57,24 @@ def lr_membership(n: LRFuzzyNumber, x: float) -> float:
     if n.core_lo <= x <= n.core_hi:
         return 1.0
     if x < n.core_lo:
-        return n.family.fwd((x - n.support_lo) / n.left_spread)
-    return n.family.fwd((n.support_hi - x) / n.right_spread)
+        return (x - n.support_lo) / n.left_spread
+    return (n.support_hi - x) / n.right_spread
 
 
 def lr_level_set(n: LRFuzzyNumber, alpha: float) -> Interval:
-    """[support_lo + inv(alpha) * left_spread, support_hi - inv(alpha) * right_spread]."""
+    """[support_lo + alpha * left_spread, support_hi - alpha * right_spread]."""
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha!r}")
-    t = n.family.inv(alpha)
-    return Interval(n.support_lo + t * n.left_spread,
-                    n.support_hi - t * n.right_spread)
+    return Interval(n.support_lo + alpha * n.left_spread,
+                    n.support_hi - alpha * n.right_spread)
 
 
 def levelset_add(x: LRFuzzyNumber, y: LRFuzzyNumber) -> LRFuzzyNumber:
-    """Cornerwise sum; requires matching spread families."""
-    if x.family.tag != y.family.tag:
-        raise FamilyMismatch(f"{x.family.tag!r} vs {y.family.tag!r}")
+    """Cornerwise sum: with linear flanks, every level set adds as an interval."""
     return LRFuzzyNumber(x.support_lo + y.support_lo,
                          x.core_lo + y.core_lo,
                          x.core_hi + y.core_hi,
-                         x.support_hi + y.support_hi,
-                         family=x.family)
+                         x.support_hi + y.support_hi)
 
 
 def zadeh_add_grid(x: LRFuzzyNumber, y: LRFuzzyNumber, grid: int = 2001):
@@ -113,10 +93,10 @@ def zadeh_add_grid(x: LRFuzzyNumber, y: LRFuzzyNumber, grid: int = 2001):
         out[core] = 1.0
         if n.left_spread > 0.0:
             left = inside & (xs < n.core_lo)
-            out[left] = n.family.fwd((xs[left] - n.support_lo) / n.left_spread)
+            out[left] = (xs[left] - n.support_lo) / n.left_spread
         if n.right_spread > 0.0:
             right = inside & (xs > n.core_hi)
-            out[right] = n.family.fwd((n.support_hi - xs[right]) / n.right_spread)
+            out[right] = (n.support_hi - xs[right]) / n.right_spread
         return out
 
     if grid < 101:
@@ -145,7 +125,7 @@ def zadeh_mul_levelsets(x: LRFuzzyNumber, y: LRFuzzyNumber, alpha: float) -> Int
 # bridge to the typed ring
 # ---------------------------------------------------------------------------
 
-def from_typed_trapezoid(x: TypedOfn, family: SpreadFamily = LINEAR) -> LRFuzzyNumber:
+def from_typed_trapezoid(x: TypedOfn) -> LRFuzzyNumber:
     """Forget orientation: a proper identity-base OFN as a classical number."""
     if x.base != "identity" and not x.is_rectangular:
         raise MixedTypeError(f"expected the identity base, got {x.base!r}")
@@ -153,10 +133,10 @@ def from_typed_trapezoid(x: TypedOfn, family: SpreadFamily = LINEAR) -> LRFuzzyN
         raise ImproperError("only proper numbers have a classical reading")
     outer = level_set(x, 0.0)
     core = level_set(x, 1.0)
-    return LRFuzzyNumber(outer.lo, core.lo, core.hi, outer.hi, family=family)
+    return LRFuzzyNumber(outer.lo, core.lo, core.hi, outer.hi)
 
 
 def to_typed_trapezoid(n: LRFuzzyNumber) -> TypedOfn:
-    """The increasing-orientation trapezoid with the same corners."""
+    """The increasing-orientation trapezoid with the same corners and flanks."""
     return trapezoid(n.core_lo - n.support_lo, n.support_lo,
                      n.core_hi - n.support_hi, n.support_hi)

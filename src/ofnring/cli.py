@@ -9,6 +9,7 @@ types, 4 math (division by zero, overflow, improper inputs, wrong pathology),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Sequence
@@ -23,6 +24,7 @@ from .svgplot import render_ofn_svg
 
 EXIT_OK = 0
 EXIT_IO = 5
+MAX_POINTS = 10**5  # sample builds its whole CSV in memory before writing it
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -34,14 +36,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     x = load_ofn(args.infile)
-    rep = classify(x)
-    print(json.dumps({
-        "proper": rep.proper,
-        "orientation": rep.orientation,
-        "same_sign": rep.same_sign,
-        "crossing": rep.crossing,
-        "pathology": rep.pathology,
-    }))
+    print(json.dumps(dataclasses.asdict(classify(x))))
     return EXIT_OK
 
 
@@ -55,6 +50,8 @@ def _cmd_correct(args: argparse.Namespace) -> int:
 def _csv_rows(x: TypedOfn, points: int) -> str:
     if points < 2:
         raise DomainError(f"points must be at least 2, got {points}")
+    if points > MAX_POINTS:
+        raise DomainError(f"points must be at most {MAX_POINTS}, got {points}")
     lines = ["alpha,up,down"]
     for k in range(points):
         alpha = k / (points - 1)

@@ -168,17 +168,17 @@ CHECKS: tuple[tuple[str, str, Callable[[], tuple[bool, str]]], ...] = (
 )
 
 
-def run_demo(out=print) -> int:
+def run_demo() -> int:
     failures = 0
-    out("ordered fuzzy number arithmetic: worked-example gate")
+    print("ordered fuzzy number arithmetic: worked-example gate")
     for number, label, fn in CHECKS:
         try:
             ok, detail = fn()
         except Exception as e:  # a crash is a failure, not an abort
             ok, detail = False, f"raised {type(e).__name__}: {e}"
         status = "PASS" if ok else "FAIL"
-        out(f" {number}  {label:<46} {status}  {detail}")
+        print(f" {number}  {label:<46} {status}  {detail}")
         if not ok:
             failures += 1
-    out(f"{len(CHECKS) - failures}/{len(CHECKS)} checks passed")
+    print(f"{len(CHECKS) - failures}/{len(CHECKS)} checks passed")
     return 0 if failures == 0 else 1

@@ -53,11 +53,6 @@ class DegreeCapError(OfnError):
     """A piecewise-polynomial product exceeded the degree cap."""
 
 
-class FamilyMismatch(OfnError):
-    """Level-set addition across different spread families."""
-    exit_code = 3
-
-
 class NegativeCycle(OfnError):
     """The digraph contains a cycle whose total weight keeps improving."""
 

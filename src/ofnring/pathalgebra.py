@@ -7,24 +7,21 @@ which for sides slope * h + offset is
 
 It is linear, so it is additive under ring addition, and that is exactly what
 makes Bellman-Ford relaxation sound here: path weights are tuple sums, paths
-compare by rank, and ties break by lexicographic tuple order so the outcome
-does not depend on edge order.  shortest_paths runs the queue-driven form,
-Bellman-Ford-Moore: only a node whose distance improved is scanned again.  The
-order is translation-invariant under ring addition, so a walk that repeats a
-node improves a distance only by going round a negative cycle, and a distance
-whose walk has as many edges as the graph has nodes marks one.
+compare by rank, then by lexicographic tuple order when ranks tie, so the
+outcome does not depend on edge order.  shortest_paths runs the queue-driven
+form, Bellman-Ford-Moore: only a node whose distance improved is scanned
+again.  The order is translation-invariant under ring addition, so a walk
+that repeats a node improves a distance only by going round a negative cycle,
+and a distance whose walk has as many edges as the graph has nodes marks one.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
 
 from .bases import get_base
 from .errors import DomainError, NegativeCycle
 from .ring import TypedOfn, _result_base, add, rectangular, side_eval
-
-RankFn = Callable[[TypedOfn], float]
 
 
 def rank(x: TypedOfn) -> float:
@@ -34,28 +31,25 @@ def rank(x: TypedOfn) -> float:
     return 0.5 * (up_slope + down_slope) * b.integral + 0.5 * (up_offset + down_offset)
 
 
-def ofn_min(x: TypedOfn, y: TypedOfn, key: RankFn = rank) -> TypedOfn:
+def ofn_min(x: TypedOfn, y: TypedOfn) -> TypedOfn:
     """The operand with the smaller rank; equal ranks fall back to tuple order."""
     _result_base(x, y)
-    kx, ky = key(x), key(y)
+    kx, ky = rank(x), rank(y)
     if kx != ky:
         return x if kx < ky else y
     return x if x.coeffs <= y.coeffs else y
 
 
-def pointwise_min_report(x: TypedOfn, y: TypedOfn,
-                         grid: int = 101) -> list[tuple[float, float, float]]:
-    """(alpha, min of up values, min of down values) on a uniform grid.
+def pointwise_min_report(x: TypedOfn, y: TypedOfn) -> list[tuple[float, float, float]]:
+    """(alpha, min of up values, min of down values) at alpha = k/100, k = 0..100.
 
     The true pointwise minimum need not be a typed OFN; this is a report, not
     a ring element.
     """
     _result_base(x, y)
-    if grid < 2:
-        raise DomainError("grid must have at least 2 points")
     rows = []
-    for k in range(grid):
-        alpha = k / (grid - 1)
+    for k in range(101):
+        alpha = k / 100
         rows.append((alpha,
                      min(side_eval(x, "up", alpha), side_eval(y, "up", alpha)),
                      min(side_eval(x, "down", alpha), side_eval(y, "down", alpha))))
@@ -68,7 +62,7 @@ class FuzzyDigraph:
 
     nodes: int
     edges: tuple[tuple[int, int, TypedOfn], ...]
-    base: str = "identity"
+    base: str = field(init=False)  # the base of the non-rectangular weights
 
     def __post_init__(self):
         if self.nodes < 1:
@@ -81,7 +75,7 @@ class FuzzyDigraph:
                 first = first or w
                 if w.base != first.base:
                     _result_base(first, w)
-        object.__setattr__(self, "base", first.base if first else self.base)
+        object.__setattr__(self, "base", first.base if first else "identity")
 
 
 @dataclass(frozen=True)
@@ -93,9 +87,8 @@ class ShortestPathResult:
     relaxations: int  # edges examined, one add() each
 
 
-def shortest_paths(g: FuzzyDigraph, source: int,
-                   key: RankFn = rank) -> ShortestPathResult:
-    """Queue-driven Bellman-Ford (Bellman-Ford-Moore) under the (rank, tuple) order.
+def shortest_paths(g: FuzzyDigraph, source: int) -> ShortestPathResult:
+    """Queue-driven Bellman-Ford (Bellman-Ford-Moore) ordering paths by rank, then tuple.
 
     A FIFO queue holds each node at most once; scanning a node relaxes its
     out-edges in document order, and a node whose distance improves is queued
@@ -117,12 +110,12 @@ def shortest_paths(g: FuzzyDigraph, source: int,
     for u, v, w in g.edges:
         out[u].append((v, w))
     dist: list[TypedOfn | None] = [None] * n
-    keys: list[float | None] = [None] * n  # key(dist[v]), kept beside dist
+    keys: list[float | None] = [None] * n  # rank(dist[v]), kept beside dist
     pred: list[int | None] = [None] * n
     hops = [0] * n  # edges on the walk that gave dist[v]
     queued = [False] * n
     dist[source] = rectangular(0.0, 0.0, base=g.base)
-    keys[source] = key(dist[source])
+    keys[source] = rank(dist[source])
     queue = deque([source])
     queued[source] = True
     scans = relaxations = 0
@@ -134,7 +127,7 @@ def shortest_paths(g: FuzzyDigraph, source: int,
         relaxations += len(edges)
         for v, w in edges:
             cand = add(du, w)
-            kc, kv = key(cand), keys[v]
+            kc, kv = rank(cand), keys[v]
             if dist[v] is None or (kc < kv if kc != kv else cand.coeffs < dist[v].coeffs):
                 if v == source or h >= n:
                     raise NegativeCycle("relaxation keeps improving; negative-rank cycle")

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .bases import BaseFunction, get_base
-from .errors import DegenerateError, DomainError, ImproperError, WrongPathology
+from .errors import DegenerateError, ImproperError, WrongPathology
 from .ring import (Interval, Orientation, Side, TypedOfn, _gap, _orientation,
                    _result, _up_is_low, level_set, side_eval)
 
@@ -241,16 +241,15 @@ def membership_eval(m: MembershipFunction, v: float) -> float:
 # level-set nesting
 # ---------------------------------------------------------------------------
 
-def nesting_violation(x: TypedOfn, grid: int = 101) -> tuple[float, float] | None:
+def nesting_violation(x: TypedOfn) -> tuple[float, float] | None:
     """First adjacent alpha pair whose level sets fail to nest, if any.
 
     Proper numbers nest: level sets shrink as alpha grows.  Returns
     (alpha_low, alpha_high) with level_set(alpha_high) not contained in
-    level_set(alpha_low), or None when nesting holds on the grid.
+    level_set(alpha_low), or None when nesting holds at alpha = k/100,
+    k = 0..100.
     """
-    if grid < 2:
-        raise DomainError("grid must have at least 2 points")
-    alphas = [k / (grid - 1) for k in range(grid)]
+    alphas = [k / 100 for k in range(101)]
     prev_alpha = alphas[0]
     prev = level_set(x, prev_alpha)
     for alpha in alphas[1:]:

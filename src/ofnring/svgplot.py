@@ -15,35 +15,35 @@ from .ring import TypedOfn, sampled_sides
 
 WIDTH, HEIGHT = 640, 480
 MARGIN = 48
-_UP_STYLE = "fill:none;stroke:#2a6fb0;stroke-width:2"
-_DOWN_STYLE = "fill:none;stroke:#c23b22;stroke-width:2"
+SAMPLES = 201
+_UP_COLOUR = "#2a6fb0"
+_DOWN_COLOUR = "#c23b22"
 _AXIS_STYLE = "stroke:#888888;stroke-width:1"
 _TEXT_STYLE = "font-family:monospace;font-size:12px;fill:#333333"
 
 
-def _samples(x: TypedOfn, count: int) -> list[tuple[float, float, float]]:
+def _samples(x: TypedOfn) -> list[tuple[float, float, float]]:
     start = 0.004 if get_base(x.base).unbounded else 0.0
     out = []
-    for k in range(count):
-        alpha = start + (1.0 - start) * k / (count - 1)
+    for k in range(SAMPLES):
+        alpha = start + (1.0 - start) * k / (SAMPLES - 1)
         u, d = sampled_sides(x, alpha)
         out.append((alpha, u, d))
     return out
 
 
-def _arrow(px: float, py: float, angle: float, style: str) -> str:
+def _arrow(px: float, py: float, angle: float, colour: str) -> str:
     size = 7.0
     left = angle + 2.6
     right = angle - 2.6
     pts = (f"{px:.2f},{py:.2f} "
            f"{px + size * math.cos(left):.2f},{py + size * math.sin(left):.2f} "
            f"{px + size * math.cos(right):.2f},{py + size * math.sin(right):.2f}")
-    fill = style.split("stroke:")[1].split(";")[0]
-    return f'<polygon points="{pts}" style="fill:{fill}" />'
+    return f'<polygon points="{pts}" style="fill:{colour}" />'
 
 
-def render_ofn_svg(x: TypedOfn, count: int = 201) -> str:
-    rows = _samples(x, count)
+def render_ofn_svg(x: TypedOfn) -> str:
+    rows = _samples(x)
     values = [v for _, u, d in rows for v in (u, d)]
     vlo = min(values)
     # half the value range: the halves of two finite floats differ by a
@@ -59,12 +59,12 @@ def render_ofn_svg(x: TypedOfn, count: int = 201) -> str:
         py = HEIGHT - MARGIN - frac * (HEIGHT - 2 * MARGIN)
         return px, py
 
-    def polyline(which: int, style: str) -> str:
+    def polyline(which: int, colour: str) -> str:
         pts = " ".join(f"{px:.2f},{py:.2f}"
                        for px, py in (to_px(r[0], r[which]) for r in rows))
-        return f'<polyline points="{pts}" style="{style}" />'
+        return f'<polyline points="{pts}" style="fill:none;stroke:{colour};stroke-width:2" />'
 
-    def arrow_at(which: int, frac: float, forward: bool, style: str) -> str:
+    def arrow_at(which: int, frac: float, forward: bool, colour: str) -> str:
         k = int(frac * (len(rows) - 1))
         k = min(max(k, 1), len(rows) - 2)
         x1, y1 = to_px(rows[k - 1][0], rows[k - 1][which])
@@ -72,7 +72,7 @@ def render_ofn_svg(x: TypedOfn, count: int = 201) -> str:
         if not forward:
             x1, y1, x2, y2 = x2, y2, x1, y1
         px, py = to_px(rows[k][0], rows[k][which])
-        return _arrow(px, py, math.atan2(y2 - y1, x2 - x1), style)
+        return _arrow(px, py, math.atan2(y2 - y1, x2 - x1), colour)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}" '
@@ -87,12 +87,12 @@ def render_ofn_svg(x: TypedOfn, count: int = 201) -> str:
         f'<text x="{MARGIN}" y="{MARGIN - 8}" style="{_TEXT_STYLE}">value</text>',
         f'<text x="{MARGIN}" y="{HEIGHT - 12}" style="{_TEXT_STYLE}">'
         f'{render_sides(x)} [{x.base}]</text>',
-        polyline(1, _UP_STYLE),
-        polyline(2, _DOWN_STYLE),
-        arrow_at(1, 0.35, True, _UP_STYLE),
-        arrow_at(1, 0.70, True, _UP_STYLE),
-        arrow_at(2, 0.35, False, _DOWN_STYLE),
-        arrow_at(2, 0.70, False, _DOWN_STYLE),
+        polyline(1, _UP_COLOUR),
+        polyline(2, _DOWN_COLOUR),
+        arrow_at(1, 0.35, True, _UP_COLOUR),
+        arrow_at(1, 0.70, True, _UP_COLOUR),
+        arrow_at(2, 0.35, False, _DOWN_COLOUR),
+        arrow_at(2, 0.70, False, _DOWN_COLOUR),
         "</svg>",
     ]
     return "\n".join(parts) + "\n"

@@ -5,10 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from ofnring import (GAUSSIAN_INVERSE, DomainError, FamilyMismatch,
-                     ImproperError, Interval, LRFuzzyNumber, MixedTypeError,
-                     SpreadFamily, from_typed_trapezoid, levelset_add,
-                     lr_level_set, lr_membership, rectangular,
+from ofnring import (GAUSSIAN_INVERSE, DomainError, ImproperError, Interval,
+                     LRFuzzyNumber, MixedTypeError, from_typed_trapezoid,
+                     levelset_add, lr_level_set, lr_membership, rectangular,
                      to_typed_trapezoid, trapezoid, typed, zadeh_add_grid,
                      zadeh_mul_levelsets)
 
@@ -63,16 +62,6 @@ def test_levelset_add_is_cornerwise():
     x = LRFuzzyNumber(0.0, 1.0, 2.0, 3.0)
     y = LRFuzzyNumber(0.0, 2.0, 2.0, 4.0)
     assert levelset_add(x, y).corners() == (0.0, 3.0, 4.0, 7.0)
-
-
-def test_family_mismatch():
-    quad = SpreadFamily("quadratic", lambda t: t * t, math.sqrt)
-    x = LRFuzzyNumber(0.0, 1.0, 2.0, 3.0)
-    y = LRFuzzyNumber(0.0, 1.0, 2.0, 3.0, family=quad)
-    with pytest.raises(FamilyMismatch):
-        levelset_add(x, y)
-    assert lr_membership(y, 0.5) == 0.25
-    assert lr_level_set(y, 0.25) == Interval(0.5, 2.5)
 
 
 def test_sup_min_grid_matches_levelset_sum():

@@ -64,7 +64,7 @@ def test_eval_overflow_is_exit_4(capsys):
 # the README's exit-code table, by error class
 EXIT_CODES = {
     **dict.fromkeys(("ParseError", "DocumentError", "UnknownBaseError", "DomainError"), 2),
-    **dict.fromkeys(("MixedTypeError", "FamilyMismatch"), 3),
+    "MixedTypeError": 3,
     **dict.fromkeys(("DivisionByZero", "ArithmeticOverflow", "ImproperError",
                      "WrongPathology", "DegenerateError", "DegreeCapError",
                      "RangeError", "NegativeCycle"), 4),
@@ -223,6 +223,18 @@ def test_sample_needs_two_points(tmp_path, capsys):
     assert main(["sample", "--in", doc, "--points", "1", "--out", str(out)]) == 2
     assert not out.exists()
     capsys.readouterr()
+
+
+def test_sample_points_are_capped(tmp_path, capsys):
+    # the CSV is built in memory, so an uncapped count could exhaust it
+    doc = write_doc(tmp_path, "x.json", PROPER_DOC)
+    out = tmp_path / "rows.csv"
+    for points in (cli.MAX_POINTS + 1, 10**12):
+        assert main(["sample", "--in", doc, "--points", str(points),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: points must be at most {cli.MAX_POINTS}, got {points}\n")
 
 
 def test_sample_unwritable_target_is_exit_5(tmp_path, capsys):

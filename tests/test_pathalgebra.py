@@ -59,13 +59,11 @@ def test_ofn_min_base_guard():
 def test_pointwise_min_report():
     x = trapezoid(1, 0, -1, 2)
     y = trapezoid(1, 1, -1, 3)
-    rows = pointwise_min_report(x, y, grid=5)
-    assert len(rows) == 5
+    rows = pointwise_min_report(x, y)
+    assert len(rows) == 101
     assert rows[0] == (0.0, 0.0, 2.0)
-    assert rows[2] == (0.5, 0.5, 1.5)
-    assert rows[4] == (1.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        pointwise_min_report(x, y, grid=1)
+    assert rows[50] == (0.5, 0.5, 1.5)
+    assert rows[100] == (1.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, BaseFunction,
-                     DegenerateError, DomainError, ImproperError, Interval,
+                     DegenerateError, ImproperError, Interval,
                      MembershipBranch, OfnError, Side, WrongPathology, classify,
                      correct, correct_combined, correct_type_ii,
                      correct_type_iii, get_base, membership, membership_eval,
@@ -410,5 +410,3 @@ def test_nesting_violation_found_for_drifting_sum():
     s = trapezoid(1, 0, -1, 2) + trapezoid(-2, 1, 0, -3)
     pair = nesting_violation(s)
     assert pair == (0.0, 0.01)
-    with pytest.raises(DomainError):
-        nesting_violation(s, grid=1)
