@@ -26,18 +26,17 @@ from .errors import (ArithmeticOverflow, DegenerateError, DegreeCapError,
                      MixedTypeError, NegativeCycle, OfnError, ParseError,
                      RangeError, UnknownBaseError, WrongPathology)
 from .expr import parse_expression
-from .pathalgebra import (FuzzyDigraph, ShortestPathResult, ofn_min,
-                          pointwise_min_report, rank, shortest_paths)
+from .pathalgebra import (FuzzyDigraph, ShortestPathResult, ofn_min, rank,
+                          shortest_paths)
 from .propriety import (PATHOLOGY_COMBINED, PATHOLOGY_II, PATHOLOGY_III,
                         PATHOLOGY_NONE, MembershipBranch, MembershipFunction,
-                        ProprietyReport, classify, correct, correct_combined,
-                        correct_type_ii, correct_type_iii, membership,
-                        membership_eval, membership_from_sides,
-                        nesting_violation)
+                        ProprietyReport, classify, correct, correct_type_ii,
+                        correct_type_iii, membership, membership_eval,
+                        membership_from_sides)
 from .ring import (EssentialTuple, Interval, Side, TypedOfn, add, crisp, div,
                    level_set, level_set_of_sides, mul, neg, one, orientation,
-                   rectangular, scalar_mul, side_eval, sign_class, sub,
-                   support, trapezoid, typed, zero)
+                   rectangular, scalar_mul, side_eval, sub, trapezoid, typed,
+                   zero)
 
 __version__ = "0.1.0"
 
@@ -45,12 +44,12 @@ __version__ = "0.1.0"
 _LAZY = {
     "kosinski": ("FunctionProprietyReport", "PiecewisePoly", "PiecewisePolyOfn",
                  "combine_sides", "corresponding_membership", "k_is_proper",
-                 "k_neg", "k_op", "k_scalar", "value_preimages"),
+                 "k_op", "value_preimages"),
     "piasecki": ("CONSTANT", "PRODUCT_FORM", "PiaseckiResult", "TrapezoidCorners",
                  "p_closure_check", "p_op"),
     "classical": ("LRFuzzyNumber", "from_typed_trapezoid", "levelset_add",
-                  "lr_level_set", "lr_membership", "to_typed_trapezoid",
-                  "zadeh_add_grid", "zadeh_mul_levelsets"),
+                  "lr_level_set", "lr_membership", "zadeh_add_grid",
+                  "zadeh_mul_levelsets"),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 
@@ -70,14 +69,13 @@ __all__ = [
     "EssentialTuple", "Interval", "Side", "TypedOfn",
     "typed", "trapezoid", "rectangular", "crisp", "zero", "one",
     "add", "sub", "mul", "div", "neg", "scalar_mul",
-    "side_eval", "level_set", "level_set_of_sides", "support",
-    "sign_class", "orientation",
+    "side_eval", "level_set", "level_set_of_sides", "orientation",
     "ProprietyReport", "classify",
     "PATHOLOGY_NONE", "PATHOLOGY_II", "PATHOLOGY_III", "PATHOLOGY_COMBINED",
-    "correct", "correct_type_ii", "correct_type_iii", "correct_combined",
+    "correct", "correct_type_ii", "correct_type_iii",
     "MembershipBranch", "MembershipFunction", "membership",
-    "membership_from_sides", "membership_eval", "nesting_violation",
-    "rank", "ofn_min", "pointwise_min_report", "FuzzyDigraph",
+    "membership_from_sides", "membership_eval",
+    "rank", "ofn_min", "FuzzyDigraph",
     "ShortestPathResult", "shortest_paths",
     "parse_expression",
     "OfnError", "DomainError", "RangeError", "UnknownBaseError",

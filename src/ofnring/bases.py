@@ -13,6 +13,7 @@ bases can be registered explicitly and are validated by a monotonicity sweep.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,6 +23,11 @@ IDENTITY = "identity"
 SQRT = "sqrt"
 GAUSSIAN_INVERSE = "gaussian-inverse"
 LOG = "log"
+
+# what the expression parser reads as a literal's name, and the literals of
+# rectangular numbers with their argument counts, which no base may take
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TYPELESS_ARITY = {"rect": 2, "crisp": 1}
 
 
 @dataclass(frozen=True)
@@ -105,6 +111,11 @@ def _validate(b: BaseFunction) -> None:
 
 def register_base(b: BaseFunction) -> BaseFunction:
     """Validate a base record and add it to the registry (names are unique)."""
+    lit = b.literal
+    if lit is not None and not (isinstance(lit, str) and _NAME.fullmatch(lit)):
+        raise DomainError(f"literal {lit!r} is not a name the expression parser reads")
+    if lit in _TYPELESS_ARITY:
+        raise DomainError(f"literal {lit!r} is taken by rectangular numbers")
     for field in ("tag", "doc_tag", "literal"):
         name = getattr(b, field)
         if name is not None and base_named(field, name) is not None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, ImproperError, MixedTypeError
-from .ring import Interval, TypedOfn, _number, level_set, trapezoid
+from .ring import Interval, TypedOfn, _number, level_set
 from .propriety import classify
 
 _CORNERS = ("corner support_lo", "corner core_lo", "corner core_hi", "corner support_hi")
@@ -135,8 +135,3 @@ def from_typed_trapezoid(x: TypedOfn) -> LRFuzzyNumber:
     core = level_set(x, 1.0)
     return LRFuzzyNumber(outer.lo, core.lo, core.hi, outer.hi)
 
-
-def to_typed_trapezoid(n: LRFuzzyNumber) -> TypedOfn:
-    """The increasing-orientation trapezoid with the same corners and flanks."""
-    return trapezoid(n.core_lo - n.support_lo, n.support_lo,
-                     n.core_hi - n.support_hi, n.support_hi)

@@ -18,15 +18,14 @@ import re
 from dataclasses import dataclass
 
 from . import ring
-from .bases import base_named
+from .bases import _NAME, _TYPELESS_ARITY, base_named
 from .errors import ParseError
 from .ring import TypedOfn
 
 _TOKEN = re.compile(r"\s*(?:(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-                    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+                    rf"|(?P<name>{_NAME.pattern})"
                     r"|(?P<op>[-+*/(),]))")
 
-_TYPELESS_ARITY = {"rect": 2, "crisp": 1}
 MAX_DEPTH = 100
 
 

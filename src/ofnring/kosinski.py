@@ -53,10 +53,6 @@ def _poly_mul(p: tuple[float, ...], q: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _poly_scale(p: tuple[float, ...], r: float) -> tuple[float, ...]:
-    return tuple(r * c for c in p)
-
-
 def _poly_deriv(p: tuple[float, ...]) -> tuple[float, ...]:
     if len(p) <= 1:
         return (0.0,)
@@ -147,19 +143,13 @@ class PiecewisePolyOfn:
     down: PiecewisePoly
 
     @classmethod
-    def from_affine_sides(cls, up: tuple[float, float],
-                          down: tuple[float, float]) -> "PiecewisePolyOfn":
-        """Sides given as (slope, offset)."""
-        return cls(PiecewisePoly.affine(*up), PiecewisePoly.affine(*down))
-
-    @classmethod
     def from_typed(cls, x: TypedOfn) -> "PiecewisePolyOfn":
         if x.base != IDENTITY and not x.is_rectangular:
             raise MixedTypeError(
                 f"only identity-base numbers embed as polynomials, got {x.base!r}")
         t = x.coeffs
-        return cls.from_affine_sides((t.up_slope, t.up_offset),
-                                     (t.down_slope, t.down_offset))
+        return cls(PiecewisePoly.affine(t.up_slope, t.up_offset),
+                   PiecewisePoly.affine(t.down_slope, t.down_offset))
 
 
 _COMBINERS = {"+": partial(_poly_zip, "+"), "-": partial(_poly_zip, "-"), "*": _poly_mul}
@@ -187,19 +177,6 @@ def k_op(star: str, x: PiecewisePolyOfn, y: PiecewisePolyOfn) -> PiecewisePolyOf
     """Side-for-side combination of two function-pair OFNs."""
     return PiecewisePolyOfn(combine_sides(star, x.up, y.up),
                             combine_sides(star, x.down, y.down))
-
-
-def k_neg(x: PiecewisePolyOfn) -> PiecewisePolyOfn:
-    return k_scalar(-1.0, x)
-
-
-def k_scalar(r: float, x: PiecewisePolyOfn) -> PiecewisePolyOfn:
-    r = _number(r, "scalar")
-
-    def scale(pp: PiecewisePoly) -> PiecewisePoly:
-        return PiecewisePoly(pp.breaks, tuple(_poly_scale(p, r) for p in pp.coeffs))
-
-    return PiecewisePolyOfn(scale(x.up), scale(x.down))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .bases import get_base
 from .errors import DomainError, NegativeCycle
-from .ring import TypedOfn, _result_base, add, rectangular, side_eval
+from .ring import TypedOfn, _result_base, add, rectangular
 
 
 def rank(x: TypedOfn) -> float:
@@ -38,22 +38,6 @@ def ofn_min(x: TypedOfn, y: TypedOfn) -> TypedOfn:
     if kx != ky:
         return x if kx < ky else y
     return x if x.coeffs <= y.coeffs else y
-
-
-def pointwise_min_report(x: TypedOfn, y: TypedOfn) -> list[tuple[float, float, float]]:
-    """(alpha, min of up values, min of down values) at alpha = k/100, k = 0..100.
-
-    The true pointwise minimum need not be a typed OFN; this is a report, not
-    a ring element.
-    """
-    _result_base(x, y)
-    rows = []
-    for k in range(101):
-        alpha = k / 100
-        rows.append((alpha,
-                     min(side_eval(x, "up", alpha), side_eval(y, "up", alpha)),
-                     min(side_eval(x, "down", alpha), side_eval(y, "down", alpha))))
-    return rows
 
 
 @dataclass(frozen=True)

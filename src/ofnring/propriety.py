@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .bases import BaseFunction, get_base
 from .errors import DegenerateError, ImproperError, WrongPathology
 from .ring import (Interval, Orientation, Side, TypedOfn, _gap, _orientation,
-                   _result, _up_is_low, level_set, side_eval)
+                   _result, _up_is_low, side_eval)
 
 PATHOLOGY_NONE = "none"
 PATHOLOGY_II = "type-ii"
@@ -125,11 +125,6 @@ def correct_type_ii(x: TypedOfn) -> TypedOfn:
 def correct_type_iii(x: TypedOfn) -> TypedOfn:
     """Untwist by exchanging the constant terms of the two sides."""
     return _swap_offsets(x, _require(x, PATHOLOGY_III))
-
-
-def correct_combined(x: TypedOfn) -> TypedOfn:
-    """Collapse both sides to their core values (a rectangular number)."""
-    return _collapse(x, _require(x, PATHOLOGY_COMBINED))
 
 
 # pathology -> (label, repair); a repair takes the number and its report
@@ -236,25 +231,3 @@ def membership_eval(m: MembershipFunction, v: float) -> float:
         return m.upper.invert(v)
     return 0.0
 
-
-# ---------------------------------------------------------------------------
-# level-set nesting
-# ---------------------------------------------------------------------------
-
-def nesting_violation(x: TypedOfn) -> tuple[float, float] | None:
-    """First adjacent alpha pair whose level sets fail to nest, if any.
-
-    Proper numbers nest: level sets shrink as alpha grows.  Returns
-    (alpha_low, alpha_high) with level_set(alpha_high) not contained in
-    level_set(alpha_low), or None when nesting holds at alpha = k/100,
-    k = 0..100.
-    """
-    alphas = [k / 100 for k in range(101)]
-    prev_alpha = alphas[0]
-    prev = level_set(x, prev_alpha)
-    for alpha in alphas[1:]:
-        cur = level_set(x, alpha)
-        if not prev.encloses(cur):
-            return prev_alpha, alpha
-        prev_alpha, prev = alpha, cur
-    return None

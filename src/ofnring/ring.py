@@ -18,8 +18,8 @@ two genuinely typed bases raises MixedTypeError.
 Side values at alpha=0 may be infinite for unbounded bases; infinities are
 ordinary signed floats here, never sentinels.  Side values and the side order
 never form 0 * inf or inf - inf: a side with slope 0 is its offset at every
-alpha, and the gap between the sides is taken from halved coefficients when a
-difference would overflow.
+alpha in [0, 1], and the gap between the sides is taken from halved
+coefficients when a difference would overflow.
 
 One number rule checks each coefficient a caller passes in: an int or a float,
 not a bool, whose float value is finite, so an int beyond the float range is
@@ -47,7 +47,6 @@ from .errors import ArithmeticOverflow, DivisionByZero, DomainError, MixedTypeEr
 SideName = Literal["up", "down"]
 
 Orientation = Literal["increasing", "decreasing", "degenerate"]
-SignClass = Literal["positive", "negative", "neither"]
 
 
 _FIELDS = ("up_slope", "up_offset", "down_slope", "down_offset")
@@ -126,13 +125,6 @@ class Interval:
         """True when `other` is a subset of self."""
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def plus(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class Side:
@@ -170,9 +162,8 @@ def _side(base: str, slope: float, offset: float) -> Side:
 
 
 def _affine(b: BaseFunction, slope: float, offset: float, alpha: float) -> float:
-    if slope == 0.0:
-        return offset
-    return slope * b.value(alpha) + offset
+    h = b.value(alpha)  # checks alpha, for a constant side too
+    return offset if slope == 0.0 else slope * h + offset
 
 
 class TypedOfn:
@@ -312,22 +303,6 @@ def level_set_of_sides(up: Side, down: Side, alpha: float) -> Interval:
     u = up.value(alpha)
     d = down.value(alpha)
     return Interval(min(u, d), max(u, d))
-
-
-def support(x: TypedOfn) -> Interval:
-    """Closure of the union of both side ranges over alpha in (0, 1]."""
-    u0, u1 = x.up_side().value_limits()
-    d0, d1 = x.down_side().value_limits()
-    return Interval(min(u0, u1, d0, d1), max(u0, u1, d0, d1))
-
-
-def sign_class(x: TypedOfn) -> SignClass:
-    s = support(x)
-    if s.lo > 0.0:
-        return "positive"
-    if s.hi < 0.0:
-        return "negative"
-    return "neither"
 
 
 def _gap(b: BaseFunction, up_slope: float, up_offset: float,

@@ -74,6 +74,7 @@ def render_ofn_svg(x: TypedOfn) -> str:
         px, py = to_px(rows[k][0], rows[k][which])
         return _arrow(px, py, math.atan2(y2 - y1, x2 - x1), colour)
 
+    caption = f"{render_sides(x)} [{x.base}]"  # a registered base may write &, < or >
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}" '
         f'width="{WIDTH}" height="{HEIGHT}">',
@@ -86,7 +87,7 @@ def render_ofn_svg(x: TypedOfn) -> str:
         f'style="{_TEXT_STYLE}" text-anchor="end">alpha</text>',
         f'<text x="{MARGIN}" y="{MARGIN - 8}" style="{_TEXT_STYLE}">value</text>',
         f'<text x="{MARGIN}" y="{HEIGHT - 12}" style="{_TEXT_STYLE}">'
-        f'{render_sides(x)} [{x.base}]</text>',
+        f'{caption.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")}</text>',
         polyline(1, _UP_COLOUR),
         polyline(2, _DOWN_COLOUR),
         arrow_at(1, 0.35, True, _UP_COLOUR),

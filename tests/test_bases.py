@@ -219,3 +219,15 @@ def test_register_rejects_taken_document_tag_or_literal(tag, names):
     with pytest.raises(DomainError):
         register_base(_cube(tag, **names))
     assert tag not in available_tags()
+
+
+@pytest.mark.parametrize("literal", ["crisp", "rect", "my-lit", "2cube", "", "cube lit", 5])
+def test_register_rejects_a_literal_the_parser_cannot_use(literal):
+    before = dict(_REGISTRY)
+    try:
+        with pytest.raises(DomainError, match=f"^literal {literal!r} "):
+            register_base(_cube("cube-lit-test", literal=literal))
+        assert _REGISTRY == before
+    finally:
+        _REGISTRY.pop("cube-lit-test", None)
+    assert parse_expression("crisp(1) + rect(1, 2)") == typed(IDENTITY, 0, 2, 0, 3)

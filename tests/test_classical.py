@@ -1,6 +1,5 @@
 """Classical L-R numbers and the extension-principle oracles."""
 import math
-import random
 
 import numpy as np
 import pytest
@@ -8,10 +7,7 @@ import pytest
 from ofnring import (GAUSSIAN_INVERSE, DomainError, ImproperError, Interval,
                      LRFuzzyNumber, MixedTypeError, from_typed_trapezoid,
                      levelset_add, lr_level_set, lr_membership, rectangular,
-                     to_typed_trapezoid, trapezoid, typed, zadeh_add_grid,
-                     zadeh_mul_levelsets)
-
-from helpers import random_proper
+                     trapezoid, typed, zadeh_add_grid, zadeh_mul_levelsets)
 
 
 def test_corner_validation():
@@ -128,11 +124,4 @@ def test_bridge_guards():
 
 def test_bridge_round_trip():
     n = LRFuzzyNumber(0.0, 1.0, 2.0, 3.0)
-    x = to_typed_trapezoid(n)
-    assert x.coeffs.as_tuple() == (1.0, 0.0, -1.0, 3.0)
-    assert from_typed_trapezoid(x).corners() == n.corners()
-    rng = random.Random(59)
-    for _ in range(30):
-        y = random_proper(rng, "identity")
-        back = to_typed_trapezoid(from_typed_trapezoid(y))
-        assert back.coeffs.as_tuple() == pytest.approx(y.coeffs.as_tuple(), abs=1e-12)
+    assert from_typed_trapezoid(trapezoid(1.0, 0.0, -1.0, 3.0)).corners() == n.corners()

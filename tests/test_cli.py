@@ -3,11 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from xml.dom import minidom
 
 import pytest
 
 import ofnring
-from ofnring import OfnError, ParseError, cli, demo, parse_expression
+from ofnring import (BaseFunction, OfnError, ParseError, cli, demo,
+                     parse_expression, register_base)
+from ofnring.bases import _REGISTRY
 from ofnring.cli import main
 from ofnring.documents import ofn_from_doc
 
@@ -260,6 +263,28 @@ def test_plot_writes_self_contained_svg(tmp_path):
     assert svg.count("<polygon") >= 4
     assert "href" not in svg and "<image" not in svg
     assert svg.rstrip().endswith("</svg>")
+
+
+@pytest.fixture
+def markup_base():
+    """A registered base whose tag and symbol hold XML markup characters."""
+    tag = "cube<&>-test"
+    register_base(BaseFunction(
+        tag=tag, func=lambda a: a ** 3, inverse_func=lambda t: t ** (1 / 3),
+        increasing=True, limit_at_zero=0.0, value_at_one=1.0, integral=0.25,
+        symbol="h<&>"))
+    try:
+        yield tag
+    finally:
+        _REGISTRY.pop(tag, None)
+
+
+def test_plot_escapes_the_caption(tmp_path, markup_base):
+    doc = write_doc(tmp_path, "x.json", {"base": markup_base, "tuple": [1, 0, -1, 2]})
+    out = tmp_path / "plot.svg"
+    assert main(["plot", "--in", doc, "--out", str(out)]) == 0
+    texts = minidom.parseString(out.read_text(encoding="utf-8")).getElementsByTagName("text")
+    assert texts[-1].firstChild.data == "(h<&>, -h<&>+2) [cube<&>-test]"
 
 
 def test_plot_handles_unbounded_bases(tmp_path):

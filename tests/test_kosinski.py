@@ -6,14 +6,14 @@ import pytest
 from ofnring import (GAUSSIAN_INVERSE, IDENTITY, DegreeCapError, DomainError,
                      MixedTypeError, PiecewisePoly, PiecewisePolyOfn,
                      combine_sides, corresponding_membership, k_is_proper,
-                     k_neg, k_op, k_scalar, membership, membership_eval,
+                     k_op, membership, membership_eval,
                      rectangular, trapezoid, typed, value_preimages)
 
 from helpers import random_proper
 
 
 def affine_pair(up, down):
-    return PiecewisePolyOfn.from_affine_sides(up, down)
+    return PiecewisePolyOfn(PiecewisePoly.affine(*up), PiecewisePoly.affine(*down))
 
 
 # ---------------------------------------------------------------------------
@@ -134,18 +134,6 @@ def test_combining_merges_breakpoints():
     for j in range(11):
         t = j / 10
         assert abs(s.eval(t) - (2.0 * t + 1.0)) <= 1e-12
-
-
-def test_scalar_and_negation():
-    a = affine_pair((1.0, 0.0), (-1.0, 2.0))
-    n = k_neg(a)
-    assert n.up.eval(1.0) == -1.0
-    assert n.down.eval(0.0) == -2.0
-    h = k_scalar(0.5, a)
-    assert h.down.eval(0.0) == 1.0
-    for bad in (float("inf"), 10**400, True):
-        with pytest.raises(DomainError):
-            k_scalar(bad, a)
 
 
 # ---------------------------------------------------------------------------

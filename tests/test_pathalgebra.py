@@ -6,7 +6,7 @@ import pytest
 
 from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, BaseFunction,
                      DomainError, FuzzyDigraph, MixedTypeError, NegativeCycle,
-                     crisp, get_base, ofn_min, pointwise_min_report, rank,
+                     crisp, get_base, ofn_min, rank,
                      rectangular, register_base, scalar_mul, shortest_paths,
                      trapezoid, typed)
 from ofnring import pathalgebra
@@ -54,16 +54,6 @@ def test_ofn_min_base_guard():
     with pytest.raises(MixedTypeError):
         ofn_min(g, typed(LOG, 1, 0, -1, 1))
     assert ofn_min(g, crisp(0.0)) == crisp(0.0)
-
-
-def test_pointwise_min_report():
-    x = trapezoid(1, 0, -1, 2)
-    y = trapezoid(1, 1, -1, 3)
-    rows = pointwise_min_report(x, y)
-    assert len(rows) == 101
-    assert rows[0] == (0.0, 0.0, 2.0)
-    assert rows[50] == (0.5, 0.5, 1.5)
-    assert rows[100] == (1.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,15 @@
-"""Classification, corrections, membership inversion, nesting."""
+"""Classification, corrections, membership inversion."""
 import math
 import random
 
 import pytest
 
 from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, BaseFunction,
-                     DegenerateError, ImproperError, Interval,
-                     MembershipBranch, OfnError, Side, WrongPathology, classify,
-                     correct, correct_combined, correct_type_ii,
+                     DegenerateError, ImproperError, MembershipBranch, OfnError,
+                     Side, WrongPathology, classify, correct, correct_type_ii,
                      correct_type_iii, get_base, membership, membership_eval,
-                     membership_from_sides, nesting_violation, orientation,
-                     rectangular, register_base, side_eval, support, trapezoid,
-                     typed)
+                     membership_from_sides, orientation, rectangular,
+                     register_base, side_eval, trapezoid, typed)
 from ofnring.bases import _REGISTRY
 
 from helpers import (ALL_BASES, BOUNDED_BASES, assert_tuple, random_any, random_improper,
@@ -187,7 +185,9 @@ def test_untwist_can_fail_and_falls_back():
 
 
 def test_correct_combined_collapses_to_core():
-    assert_tuple(correct_combined(trapezoid(1, 0, 2, -0.5)), (0, 1, 0, 1.5))
+    fixed, label = correct(trapezoid(1, 0, 2, -0.5))
+    assert label == "combined"
+    assert_tuple(fixed, (0, 1, 0, 1.5))
 
 
 def test_correct_dispatch_labels():
@@ -204,8 +204,6 @@ def test_targeted_corrections_reject_wrong_class():
         correct_type_ii(trapezoid(-2, 3, 2, 1))
     with pytest.raises(WrongPathology):
         correct_type_iii(trapezoid(1, 2, 1, 0))
-    with pytest.raises(WrongPathology):
-        correct_combined(trapezoid(1, 2, 1, 0))
 
 
 @pytest.mark.parametrize("base", ALL_BASES)
@@ -347,11 +345,6 @@ def _outcome(f, *args):
         return type(e), str(e)
 
 
-def _support_of_sides(up: Side, down: Side) -> Interval:
-    ends = up.value_limits() + down.value_limits()
-    return Interval(min(ends), max(ends))
-
-
 @pytest.mark.parametrize("base", ALL_BASES + (ONE_MINUS_CUBE,))
 def test_sides_of_a_number_match_checked_sides(one_minus_cube, base):
     # up_side/down_side skip Side's checks; the results must not notice
@@ -361,7 +354,6 @@ def test_sides_of_a_number_match_checked_sides(one_minus_cube, base):
         up, down = Side(base, us, uo), Side(base, ds, do)
         assert (x.up_side(), x.down_side()) == (up, down)
         assert _outcome(membership, x) == _outcome(membership_from_sides, up, down), x
-        assert _outcome(support, x) == _outcome(_support_of_sides, up, down), x
 
 
 @pytest.mark.parametrize("x", [
@@ -396,17 +388,3 @@ def test_membership_round_trip(base, orient):
                 v = side_eval(x, which, alpha)
                 assert abs(membership_eval(m, v) - alpha) <= 1e-9
 
-
-# ---------------------------------------------------------------------------
-# nesting
-# ---------------------------------------------------------------------------
-
-def test_nesting_holds_for_proper():
-    assert nesting_violation(trapezoid(1, 0, -1, 2)) is None
-    assert nesting_violation(typed(GAUSSIAN_INVERSE, -1, 0, 1, 1)) is None
-
-
-def test_nesting_violation_found_for_drifting_sum():
-    s = trapezoid(1, 0, -1, 2) + trapezoid(-2, 1, 0, -3)
-    pair = nesting_violation(s)
-    assert pair == (0.0, 0.01)

@@ -12,8 +12,9 @@ from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, ArithmeticOverflow,
                      DivisionByZero, DomainError, EssentialTuple, Interval, MixedTypeError,
                      Side, TypedOfn, UnknownBaseError, add, crisp, div, level_set,
                      level_set_of_sides, mul, neg, one, orientation,
-                     rectangular, scalar_mul, side_eval, sign_class, sub,
-                     support, trapezoid, typed, zero)
+                     rectangular, scalar_mul, side_eval, sub, trapezoid,
+                     typed, zero)
+from ofnring.ring import sampled_sides
 
 from helpers import ALL_BASES, assert_tuple, close, ofn_close, random_proper
 
@@ -201,8 +202,6 @@ def test_interval_validation_and_relations():
     assert not i.contains_value(2.1)
     assert i.encloses(Interval(0.5, 1.5))
     assert not Interval(0.5, 1.5).encloses(i)
-    assert i.plus(Interval(1.0, 1.0)) == Interval(1.0, 3.0)
-    assert i.width == 2.0
 
 
 def test_interval_rejects_ints_beyond_the_float_range():
@@ -210,7 +209,6 @@ def test_interval_rejects_ints_beyond_the_float_range():
         Interval(10**400, 10**401)
     with pytest.raises(DomainError):
         Interval(0.0, -10**400)
-    assert Interval(-math.inf, math.inf).width == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -363,21 +361,23 @@ def test_unbounded_side_values():
     assert side_eval(e, "down", 0.0) == math.inf
 
 
+@pytest.mark.parametrize("base", ALL_BASES)
+@pytest.mark.parametrize("alpha", [5.0, -1.0, math.nan])
+def test_constant_sides_refuse_alpha_outside_the_unit_interval(base, alpha):
+    # a slope-0 side is its offset at every alpha in [0, 1], and nowhere else
+    r = rectangular(1.0, 2.0, base=base)
+    calls = [lambda: side_eval(r, "up", alpha), lambda: level_set(r, alpha),
+             lambda: level_set_of_sides(r.up_side(), r.down_side(), alpha),
+             lambda: sampled_sides(r, alpha)]
+    for call in calls:
+        with pytest.raises(DomainError, match="alpha must lie in"):
+            call()
+
+
 def test_rectangular_sides_stay_finite_at_zero():
     r = rectangular(1.0, 2.0, base=GAUSSIAN_INVERSE)
     assert side_eval(r, "up", 0.0) == 1.0
     assert side_eval(r, "down", 0.0) == 2.0
-
-
-def test_support_and_sign_class():
-    assert support(trapezoid(1, 0, -1, 2)) == Interval(0.0, 2.0)
-    assert sign_class(trapezoid(1, 1, -1, 3)) == "positive"
-    assert sign_class(trapezoid(1, -5, -1, -3)) == "negative"
-    assert sign_class(trapezoid(1, -1, -1, 1)) == "neither"
-    assert sign_class(zero(IDENTITY)) == "neither"
-    g = typed(GAUSSIAN_INVERSE, 0.25, 0, -0.25, 0)
-    assert support(g) == Interval(-math.inf, math.inf)
-    assert sign_class(g) == "neither"
 
 
 def test_orientation_bounded():
@@ -410,7 +410,8 @@ def test_level_set_additivity_for_matching_orientations(base):
         y = random_proper(rng, base)
         s = add(x, y)
         for alpha in alphas:
-            want = level_set(x, alpha).plus(level_set(y, alpha))
+            ix, iy = level_set(x, alpha), level_set(y, alpha)
+            want = Interval(ix.lo + iy.lo, ix.hi + iy.hi)
             got = level_set(s, alpha)
             assert close(got.lo, want.lo, 1e-12)
             assert close(got.hi, want.hi, 1e-12)
@@ -421,7 +422,7 @@ def test_level_set_additivity_fails_for_opposed_orientations():
     x = trapezoid(1, 0, -1, 2)
     y = trapezoid(-2, 1, 0, -3)
     s = add(x, y)
-    want = level_set(x, 1.0).plus(level_set(y, 1.0))
-    assert level_set(s, 1.0) == want == Interval(-2.0, 0.0)
-    half_sum = level_set(x, 0.5).plus(level_set(y, 0.5))
-    assert level_set(s, 0.5) != half_sum
+    ix, iy = level_set(x, 1.0), level_set(y, 1.0)
+    assert level_set(s, 1.0) == Interval(ix.lo + iy.lo, ix.hi + iy.hi) == Interval(-2.0, 0.0)
+    ix, iy = level_set(x, 0.5), level_set(y, 0.5)
+    assert level_set(s, 0.5) != Interval(ix.lo + iy.lo, ix.hi + iy.hi)
