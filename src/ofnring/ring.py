@@ -379,30 +379,28 @@ def _result(base: str, up_slope: float, up_offset: float,
     return x
 
 
-def _combine(x: TypedOfn, y: TypedOfn,
-             op: Callable[[float, float], float]) -> TypedOfn:
-    a, b = x.coeffs, y.coeffs
-    return _result(_result_base(x, y), op(a[0], b[0]), op(a[1], b[1]),
-                   op(a[2], b[2]), op(a[3], b[3]))
-
-
 def add(x: TypedOfn, y: TypedOfn) -> TypedOfn:
-    return _combine(x, y, OPERATORS["+"])
+    a, b = x.coeffs, y.coeffs
+    return _result(_result_base(x, y), a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
 
 
 def sub(x: TypedOfn, y: TypedOfn) -> TypedOfn:
-    return _combine(x, y, OPERATORS["-"])
+    a, b = x.coeffs, y.coeffs
+    return _result(_result_base(x, y), a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
 
 
 def mul(x: TypedOfn, y: TypedOfn) -> TypedOfn:
-    return _combine(x, y, OPERATORS["*"])
+    a, b = x.coeffs, y.coeffs
+    return _result(_result_base(x, y), a[0] * b[0], a[1] * b[1], a[2] * b[2], a[3] * b[3])
 
 
 def div(x: TypedOfn, y: TypedOfn) -> TypedOfn:
-    if 0.0 in y.coeffs:
+    """x / y componentwise; a zero divisor component is refused before the bases are."""
+    a, b = x.coeffs, y.coeffs
+    if 0.0 in b:
         raise DivisionByZero(
-            f"divisor tuple {y.coeffs.as_tuple()} has a zero component")
-    return _combine(x, y, OPERATORS["/"])
+            f"divisor tuple {b.as_tuple()} has a zero component")
+    return _result(_result_base(x, y), a[0] / b[0], a[1] / b[1], a[2] / b[2], a[3] / b[3])
 
 
 def neg(x: TypedOfn) -> TypedOfn:

@@ -7,15 +7,18 @@ never rely on rejection sampling for the common case.
 from __future__ import annotations
 
 import random
+import re
 from collections import defaultdict
+from dataclasses import dataclass
 
 from typing import Any
 
 from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, DocumentError,
-                     DomainError, FuzzyDigraph, NegativeCycle, TypedOfn, add,
-                     classify, rank, rectangular, typed)
-from ofnring.bases import base_named, get_base
+                     DomainError, FuzzyDigraph, NegativeCycle, ParseError,
+                     TypedOfn, add, classify, rank, rectangular, ring, typed)
+from ofnring.bases import _NAME, _TYPELESS_ARITY, base_named, get_base
 from ofnring.documents import MAX_NODES
+from ofnring.expr import MAX_DEPTH
 from ofnring.pathalgebra import _check_predecessor_tree
 
 ALL_BASES = (IDENTITY, SQRT, GAUSSIAN_INVERSE, LOG)
@@ -202,3 +205,141 @@ def reference_graph_from_doc(doc: Any) -> FuzzyDigraph:
             raise DocumentError("edge endpoints must be integers")
         edges.append((u, v, reference_ofn_from_doc(e["weight"])))
     return FuzzyDigraph(doc["nodes"], tuple(edges))
+
+
+# ---------------------------------------------------------------------------
+# the token-by-token expression parser: the test oracle for ofnring.expr
+# ---------------------------------------------------------------------------
+
+_REFERENCE_TOKEN = re.compile(
+    r"\s*(?:(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    rf"|(?P<name>{_NAME.pattern})"
+    r"|(?P<op>[-+*/(),]))")
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str
+    text: str
+    position: int
+
+
+def _reference_tokenize(text: str) -> list[_Token]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if m is None:
+            rest = text[pos:].lstrip()
+            if not rest:
+                break
+            raise ParseError(f"unexpected character {rest[0]!r}",
+                             len(text) - len(rest))
+        kind = m.lastgroup or "op"
+        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+    return tokens
+
+
+class _ReferenceParser:
+    """Recursive descent over one token per name, number and operator."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _reference_tokenize(text)
+        self.index = 0
+        self.depth = 0
+
+    def peek(self) -> _Token | None:
+        if self.index < len(self.tokens):
+            return self.tokens[self.index]
+        return None
+
+    def take(self) -> _Token:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of expression", len(self.text))
+        self.index += 1
+        return tok
+
+    def expect(self, text: str) -> _Token:
+        tok = self.take()
+        if tok.text != text:
+            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.position)
+        return tok
+
+    def parse(self) -> TypedOfn:
+        value = self.expr()
+        tok = self.peek()
+        if tok is not None:
+            raise ParseError(f"trailing input {tok.text!r}", tok.position)
+        return value
+
+    def expr(self) -> TypedOfn:
+        value = self.term()
+        while (tok := self.peek()) is not None and tok.text in ("+", "-"):
+            self.take()
+            rhs = self.term()
+            value = ring.add(value, rhs) if tok.text == "+" else ring.sub(value, rhs)
+        return value
+
+    def term(self) -> TypedOfn:
+        value = self.factor()
+        while (tok := self.peek()) is not None and tok.text in ("*", "/"):
+            self.take()
+            rhs = self.factor()
+            value = ring.mul(value, rhs) if tok.text == "*" else ring.div(value, rhs)
+        return value
+
+    def factor(self) -> TypedOfn:
+        tok = self.take()
+        if tok.text == "(":
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise ParseError(
+                    f"parentheses nest deeper than {MAX_DEPTH}", tok.position)
+            value = self.expr()
+            self.expect(")")
+            self.depth -= 1
+            return value
+        if tok.kind == "name":
+            return self.literal(tok)
+        raise ParseError(f"expected a literal or '(', found {tok.text!r}",
+                         tok.position)
+
+    def literal(self, name: _Token) -> TypedOfn:
+        base = base_named("literal", name.text)
+        arity = 4 if base is not None else _TYPELESS_ARITY.get(name.text)
+        if arity is None:
+            raise ParseError(f"unknown literal {name.text!r}", name.position)
+        self.expect("(")
+        args = [self.number()]
+        while len(args) < arity:
+            self.expect(",")
+            args.append(self.number())
+        self.expect(")")
+        if base is not None:
+            return ring.typed(base.tag, *args)
+        if name.text == "crisp":
+            return ring.crisp(args[0])
+        return ring.rectangular(args[0], args[1])
+
+    def number(self) -> float:
+        tok = self.take()
+        sign = 1.0
+        if tok.text in ("+", "-"):
+            sign = -1.0 if tok.text == "-" else 1.0
+            tok = self.take()
+        if tok.kind != "number":
+            raise ParseError(f"expected a number, found {tok.text!r}", tok.position)
+        return sign * float(tok.text)
+
+
+def reference_parse_expression(text: str) -> TypedOfn:
+    """Parse and evaluate an expression one token at a time: the test oracle.
+
+    The parser as it was before a literal became one token: every name,
+    number and operator is its own token, and each literal's arguments are
+    read through expect() and number().
+    """
+    return _ReferenceParser(text).parse()

@@ -14,7 +14,7 @@ from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, ArithmeticOverflow,
                      level_set_of_sides, mul, neg, one, orientation,
                      rectangular, scalar_mul, side_eval, sub, trapezoid,
                      typed, zero)
-from ofnring.ring import sampled_sides
+from ofnring.ring import OPERATORS, sampled_sides
 
 from helpers import ALL_BASES, assert_tuple, close, ofn_close, random_proper
 
@@ -284,6 +284,38 @@ def test_overflow_is_an_arithmetic_error_not_a_domain_error():
     with pytest.raises(ArithmeticOverflow, match="component up_offset must be finite"):
         trapezoid(0, 1e308, 0, 1) + trapezoid(0, 1e308, 0, 1)
     assert not issubclass(ArithmeticOverflow, DomainError)
+
+
+@pytest.mark.parametrize("base", ALL_BASES)
+def test_ops_are_the_operator_table_componentwise(base):
+    rng = random.Random(20261018)
+    for op, fn in ((add, "+"), (sub, "-"), (mul, "*"), (div, "/")):
+        for _ in range(200):
+            # a rectangle takes the other operand's base; divisors have no zero
+            x = rectangular(rng.uniform(-5, 5), rng.uniform(-5, 5)) \
+                if rng.random() < 0.2 else typed(base, *(rng.uniform(-5, 5) for _ in range(4)))
+            y = typed(base, *(rng.uniform(0.5, 5) for _ in range(4)))
+            got = op(x, y)
+            assert got.base == base
+            assert [c.hex() for c in got.coeffs] == \
+                [OPERATORS[fn](a, b).hex() for a, b in zip(x.coeffs, y.coeffs)]
+
+
+def test_op_errors_are_pinned():
+    huge = trapezoid(1e308, 1, 1, 1)
+    for op, y in ((add, huge), (sub, neg(huge)), (mul, trapezoid(10, 1, 1, 1)),
+                  (div, trapezoid(0.1, 1, 1, 1))):
+        with pytest.raises(ArithmeticOverflow) as info:
+            op(huge, y)
+        assert str(info.value) == "overflow: tuple component up_slope must be finite, got inf"
+    g, e = typed(GAUSSIAN_INVERSE, 1, 0, 1, 1), typed(LOG, 1, 1, -1, 1)
+    with pytest.raises(MixedTypeError, match="^cannot combine base 'gaussian-inverse' "
+                                             "with base 'log'; "):
+        div(g, e)
+    # a zero divisor component is refused before the bases are compared
+    with pytest.raises(DivisionByZero,
+                       match=r"^divisor tuple \(1\.0, 0\.0, -1\.0, 1\.0\) has a zero component$"):
+        div(g, typed(LOG, 1, 0, -1, 1))
 
 
 def test_scalar_mul_scales_whole_tuple():

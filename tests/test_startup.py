@@ -4,7 +4,9 @@ The ring, the propriety checks, the other oracles and the CLI need no numpy,
 so a child interpreter that imports the package and runs CLI commands must
 not load it; `zadeh_add_grid` loads it when called.  The oracle modules and
 the demo load on first use too, so `eval`, `classify` and `graph` leave them
-unloaded, while every public name still resolves.
+unloaded, while every public name still resolves.  Each dataclass generated at
+import costs about a millisecond and a frozen one slows its constructor, so
+the count that `import ofnring.cli` loads may only fall.
 """
 import hashlib
 import json
@@ -23,6 +25,13 @@ import contextlib, hashlib, io, json, os, sys
 import ofnring
 import ofnring.cli
 
+startup_dataclasses = sorted({
+    f"{c.__module__}.{c.__qualname__}"
+    for name, m in list(sys.modules.items())
+    if name == "ofnring" or name.startswith("ofnring.")
+    for c in vars(m).values()
+    if isinstance(c, type) and "__dataclass_fields__" in vars(c)
+    and c.__module__.startswith("ofnring.")})
 tmp = sys.argv[1]
 docs = {"x.json": {"base": "identity", "tuple": [1, 2, 1, 0]},
         "g.json": {"nodes": 3, "edges": [
@@ -50,6 +59,7 @@ zs, levels = ofnring.zadeh_add_grid(x, y, grid=2001)
 print(json.dumps({"codes": codes, "numpy_before_grid": before,
                   "lazy_loaded_by_commands": lazy_loaded,
                   "unresolved": unresolved, "missing_from_star": starred,
+                  "startup_dataclasses": startup_dataclasses,
                   "numpy_after_grid": "numpy" in sys.modules,
                   "grid": hashlib.sha256(zs.tobytes() + levels.tobytes()).hexdigest()}))
 """
@@ -84,3 +94,9 @@ def test_commands_leave_the_oracles_and_the_demo_unloaded(report):
 def test_every_public_name_resolves(report):
     assert report["unresolved"] == []
     assert report["missing_from_star"] == []
+
+
+def test_no_dataclass_joins_the_start_up_path(report):
+    # eight: BaseFunction, Interval, Side, ProprietyReport, MembershipBranch,
+    # MembershipFunction, FuzzyDigraph and ShortestPathResult
+    assert len(report["startup_dataclasses"]) <= 8, report["startup_dataclasses"]
