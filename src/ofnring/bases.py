@@ -9,6 +9,8 @@ names it is written under (document tag, render symbol, expression literal).
 
 The registry is closed at import time with the four shipped bases; additional
 bases can be registered explicitly and are validated by a monotonicity sweep.
+It keeps one map per name field (tag, doc_tag, literal), so finding a base
+by any of its names is one dict lookup.
 """
 from __future__ import annotations
 
@@ -74,7 +76,8 @@ class BaseFunction:
         return math.isinf(self.limit_at_zero)
 
 
-_REGISTRY: dict[str, BaseFunction] = {}
+_NAME_FIELDS = ("tag", "doc_tag", "literal")
+_REGISTRY: dict[str, dict[str, BaseFunction]] = {f: {} for f in _NAME_FIELDS}
 
 
 def _validate(b: BaseFunction) -> None:
@@ -111,34 +114,41 @@ def _validate(b: BaseFunction) -> None:
 
 def register_base(b: BaseFunction) -> BaseFunction:
     """Validate a base record and add it to the registry (names are unique)."""
+    for field in ("tag", "doc_tag"):  # each name is a key of its registry map
+        if not isinstance(getattr(b, field), str):
+            raise DomainError(f"{field} {getattr(b, field)!r} is not a string")
     lit = b.literal
     if lit is not None and not (isinstance(lit, str) and _NAME.fullmatch(lit)):
         raise DomainError(f"literal {lit!r} is not a name the expression parser reads")
     if lit in _TYPELESS_ARITY:
         raise DomainError(f"literal {lit!r} is taken by rectangular numbers")
-    for field in ("tag", "doc_tag", "literal"):
-        name = getattr(b, field)
-        if name is not None and base_named(field, name) is not None:
+    names = [(f, getattr(b, f)) for f in _NAME_FIELDS if getattr(b, f) is not None]
+    for field, name in names:
+        if name in _REGISTRY[field]:
             raise DomainError(f"{field} {name!r} is already taken")
     _validate(b)
-    _REGISTRY[b.tag] = b
+    for field, name in names:
+        _REGISTRY[field][name] = b
     return b
 
 
 def get_base(tag: str) -> BaseFunction:
     try:
-        return _REGISTRY[tag]
+        return _REGISTRY["tag"][tag]
     except KeyError:
         raise UnknownBaseError(f"unknown base tag {tag!r}") from None
 
 
 def available_tags() -> tuple[str, ...]:
-    return tuple(_REGISTRY)
+    return tuple(_REGISTRY["tag"])
 
 
 def base_named(field: str, name: object) -> BaseFunction | None:
     """The registered base whose `field` (tag, doc_tag or literal) is `name`."""
-    return next((b for b in _REGISTRY.values() if getattr(b, field) == name), None)
+    try:
+        return _REGISTRY[field].get(name)
+    except TypeError:  # an unhashable name, such as a list read from JSON
+        return None
 
 
 register_base(BaseFunction(

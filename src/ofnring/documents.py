@@ -7,16 +7,14 @@ one checked pass over a document: the keys, the tag (resolved to its registry
 record), then the four numbers through EssentialTuple's number rule.
 A graph document is {"nodes": n, "edges": [{"from": u, "to": v,
 "weight": <ofn document>}]}, with n at most MAX_NODES: a shortest-path run
-allocates a distance and a predecessor slot per node.  graph_from_doc resolves
-each distinct tag once per call, in a dict that lives only as long as the call,
-so a base unregistered between two loads is unknown to the second.
+allocates a distance and a predecessor slot per node.
 """
 from __future__ import annotations
 
 import json
 from typing import Any
 
-from .bases import BaseFunction, base_named, get_base
+from .bases import base_named, get_base
 from .errors import DocumentError, DomainError
 from .pathalgebra import FuzzyDigraph
 from .ring import EssentialTuple, TypedOfn, _typed_on
@@ -31,22 +29,13 @@ def ofn_to_doc(x: TypedOfn) -> dict[str, Any]:
 
 
 def ofn_from_doc(doc: Any) -> TypedOfn:
-    return _ofn_from_doc(doc, {})
-
-
-def _ofn_from_doc(doc: Any, resolved: dict[str, BaseFunction]) -> TypedOfn:
-    """ofn_from_doc, with `resolved` holding the str tags found so far."""
     if not isinstance(doc, dict):
         raise DocumentError(f"expected an object, got {type(doc).__name__}")
     if not _OFN_KEYS.issuperset(doc):
         raise DocumentError(f"unexpected keys {sorted(set(doc) - _OFN_KEYS)}")
     tag = doc.get("base")
-    if tag.__class__ is str and tag in resolved:
-        b = resolved[tag]
-    elif (b := base_named("doc_tag", tag)) is None:
+    if (b := base_named("doc_tag", tag)) is None:
         raise DocumentError(f"unknown base tag {tag!r}")
-    elif tag.__class__ is str:
-        resolved[tag] = b
     tup = doc.get("tuple")
     try:
         if isinstance(tup, list) and len(tup) == 4:
@@ -80,7 +69,6 @@ def graph_from_doc(doc: Any) -> FuzzyDigraph:
     if not isinstance(edges_doc, list):
         raise DocumentError('graph document needs an "edges" list')
     edges = []
-    resolved: dict[str, BaseFunction] = {}
     for e in edges_doc:
         if not (isinstance(e, dict) and "from" in e and "to" in e and "weight" in e):
             raise DocumentError('each edge needs "from", "to" and "weight"')
@@ -88,7 +76,7 @@ def graph_from_doc(doc: Any) -> FuzzyDigraph:
         if isinstance(u, bool) or isinstance(v, bool) \
                 or not isinstance(u, int) or not isinstance(v, int):
             raise DocumentError("edge endpoints must be integers")
-        edges.append((u, v, _ofn_from_doc(e["weight"], resolved)))
+        edges.append((u, v, ofn_from_doc(e["weight"])))
     return FuzzyDigraph(doc["nodes"], tuple(edges))
 
 

@@ -24,11 +24,18 @@ from .errors import DomainError, NegativeCycle
 from .ring import TypedOfn, _result_base, add, rectangular
 
 
+def _is_index(x: object) -> bool:
+    """A node number is an int and not a bool, as in a graph document."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def rank(x: TypedOfn) -> float:
     """Mean of the side integrals over [0, 1]; finite for all registry bases."""
     b = get_base(x.base)
     up_slope, up_offset, down_slope, down_offset = x.coeffs
-    return 0.5 * (up_slope + down_slope) * b.integral + 0.5 * (up_offset + down_offset)
+    # halving before adding keeps the sums finite wherever the rank is
+    return ((0.5 * up_slope + 0.5 * down_slope) * b.integral
+            + (0.5 * up_offset + 0.5 * down_offset))
 
 
 def ofn_min(x: TypedOfn, y: TypedOfn) -> TypedOfn:
@@ -49,12 +56,20 @@ class FuzzyDigraph:
     base: str = field(init=False)  # the base of the non-rectangular weights
 
     def __post_init__(self):
+        if not _is_index(self.nodes):
+            raise DomainError(f"the node count {self.nodes!r} is not an integer")
         if self.nodes < 1:
             raise DomainError("a digraph needs at least one node")
         first = None  # the first typed weight fixes the base
         for u, v, w in self.edges:
+            # _is_index(u) and _is_index(v), inlined: this runs once per edge
+            if not (isinstance(u, int) and isinstance(v, int)
+                    and u.__class__ is not bool and v.__class__ is not bool):
+                raise DomainError(f"edge ({u!r}, {v!r}) has an endpoint that is not an integer")
             if not (0 <= u < self.nodes and 0 <= v < self.nodes):
                 raise DomainError(f"edge ({u}, {v}) leaves the node range")
+            if not isinstance(w, TypedOfn):
+                raise DomainError(f"edge ({u}, {v}) has a weight that is not a TypedOfn")
             if not w.is_rectangular:
                 first = first or w
                 if w.base != first.base:
@@ -88,7 +103,7 @@ def shortest_paths(g: FuzzyDigraph, source: int) -> ShortestPathResult:
     Goldberg, Math. Programming 85, 1999).
     """
     n = g.nodes
-    if not 0 <= source < n:
+    if not (_is_index(source) and 0 <= source < n):
         raise DomainError(f"source {source} is not a node")
     out: list[list[tuple[int, TypedOfn]]] = [[] for _ in range(n)]
     for u, v, w in g.edges:

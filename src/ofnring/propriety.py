@@ -165,8 +165,8 @@ class MembershipBranch:
     hi: float
 
     def __post_init__(self):
-        if self.side.slope == 0.0 and self.lo < self.hi:
-            raise DegenerateError("a constant side cannot span an interval")
+        if self.side.slope == 0.0:  # invert() divides by the slope
+            raise DegenerateError("a constant side cannot be inverted")
 
     def invert(self, v: float) -> float:
         b = get_base(self.side.base)

@@ -16,13 +16,21 @@ from typing import Any
 from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, DocumentError,
                      DomainError, FuzzyDigraph, NegativeCycle, ParseError,
                      TypedOfn, add, classify, rank, rectangular, ring, typed)
-from ofnring.bases import _NAME, _TYPELESS_ARITY, base_named, get_base
+from ofnring.bases import _NAME, _REGISTRY, _TYPELESS_ARITY, base_named, get_base
 from ofnring.documents import MAX_NODES
 from ofnring.expr import MAX_DEPTH
 from ofnring.pathalgebra import _check_predecessor_tree
 
 ALL_BASES = (IDENTITY, SQRT, GAUSSIAN_INVERSE, LOG)
 BOUNDED_BASES = (IDENTITY, SQRT)
+
+
+def unregister(tag: str) -> None:
+    """Remove a registered base, under each of its names, from the registry."""
+    b = _REGISTRY["tag"].get(tag)
+    if b is not None:
+        for field, names in _REGISTRY.items():
+            names.pop(getattr(b, field), None)
 
 
 def close(a: float, b: float, tol: float = 1e-9) -> bool:
@@ -71,8 +79,7 @@ def random_improper(rng: random.Random, base: str) -> TypedOfn:
             return cand
 
 
-def exhaustive_min_paths(g: FuzzyDigraph, source: int,
-                         key=rank) -> list[TypedOfn | None]:
+def exhaustive_min_paths(g: FuzzyDigraph, source: int) -> list[TypedOfn | None]:
     """Best distance per node over every simple path: the slow oracle.
 
     No pruning: with possible negative-rank edges a worse prefix can still
@@ -91,7 +98,7 @@ def exhaustive_min_paths(g: FuzzyDigraph, source: int,
                 continue
             nd = add(dist, w)
             cur = best[v]
-            if cur is None or (key(nd), nd.coeffs) < (key(cur), cur.coeffs):
+            if cur is None or (rank(nd), nd.coeffs) < (rank(cur), cur.coeffs):
                 best[v] = nd
             visit(v, nd, seen | {v})
 
@@ -128,7 +135,7 @@ def random_digraph(rng: random.Random, base: str, nodes: int, edges: int,
     return FuzzyDigraph(nodes, tuple(out))
 
 
-def round_robin_shortest_paths(g: FuzzyDigraph, source: int, key=rank
+def round_robin_shortest_paths(g: FuzzyDigraph, source: int
                                ) -> tuple[tuple[TypedOfn | None, ...],
                                           tuple[int | None, ...]]:
     """(distances, predecessors) by round-robin Bellman-Ford: the test oracle.
@@ -142,7 +149,7 @@ def round_robin_shortest_paths(g: FuzzyDigraph, source: int, key=rank
     keys: list[float | None] = [None] * g.nodes
     pred: list[int | None] = [None] * g.nodes
     dist[source] = rectangular(0.0, 0.0, base=g.base)
-    keys[source] = key(dist[source])
+    keys[source] = rank(dist[source])
     rounds = max(1, g.nodes - 1)
     for r in range(rounds + 1):
         changed = False
@@ -150,7 +157,7 @@ def round_robin_shortest_paths(g: FuzzyDigraph, source: int, key=rank
             if dist[u] is None:
                 continue
             cand = add(dist[u], w)
-            kc, kv = key(cand), keys[v]
+            kc, kv = rank(cand), keys[v]
             if dist[v] is None or (kc < kv if kc != kv else cand.coeffs < dist[v].coeffs):
                 if v == source or r == rounds:
                     raise NegativeCycle("relaxation keeps improving")

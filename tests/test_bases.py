@@ -5,12 +5,13 @@ import pytest
 from scipy.integrate import quad
 
 from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, BaseFunction,
-                     DomainError, RangeError, UnknownBaseError, available_tags,
-                     get_base, parse_expression, register_base, typed)
+                     DocumentError, DomainError, RangeError, UnknownBaseError,
+                     available_tags, get_base, parse_expression, register_base,
+                     typed)
 from ofnring.bases import _REGISTRY
 from ofnring.documents import ofn_from_doc, ofn_to_doc, render_sides
 
-from helpers import ALL_BASES
+from helpers import ALL_BASES, unregister
 
 
 def test_registry_tags():
@@ -179,7 +180,7 @@ def test_register_accepts_valid_power_base():
         assert get_base("cube-root-test") is b
         assert b.inverse(b.value(0.3)) == pytest.approx(0.3, abs=1e-12)
     finally:
-        _REGISTRY.pop("cube-root-test", None)
+        unregister("cube-root-test")
 
 
 def _cube(tag: str, **names) -> BaseFunction:
@@ -206,8 +207,12 @@ def test_registered_base_is_written_read_and_rendered():
         assert ofn_from_doc(ofn_to_doc(y)) == y
         assert render_sides(y) == "(2*x^3, -x^3+2)"
     finally:
-        _REGISTRY.pop("cube-test", None)
-        _REGISTRY.pop("cube-named-test", None)
+        unregister("cube-test")
+        unregister("cube-named-test")
+
+
+def _registry_copy() -> dict:
+    return {field: dict(names) for field, names in _REGISTRY.items()}
 
 
 @pytest.mark.parametrize("tag,names", [
@@ -216,18 +221,32 @@ def test_registered_base_is_written_read_and_rendered():
     ("exponential", {}),  # the doc tag defaults to the tag: the log base's
 ])
 def test_register_rejects_taken_document_tag_or_literal(tag, names):
-    with pytest.raises(DomainError):
+    before = _registry_copy()
+    with pytest.raises(DomainError, match="is already taken$"):
         register_base(_cube(tag, **names))
-    assert tag not in available_tags()
+    assert _registry_copy() == before
 
 
 @pytest.mark.parametrize("literal", ["crisp", "rect", "my-lit", "2cube", "", "cube lit", 5])
 def test_register_rejects_a_literal_the_parser_cannot_use(literal):
-    before = dict(_REGISTRY)
+    before = _registry_copy()
     try:
         with pytest.raises(DomainError, match=f"^literal {literal!r} "):
             register_base(_cube("cube-lit-test", literal=literal))
-        assert _REGISTRY == before
+        assert _registry_copy() == before
     finally:
-        _REGISTRY.pop("cube-lit-test", None)
+        unregister("cube-lit-test")
     assert parse_expression("crisp(1) + rect(1, 2)") == typed(IDENTITY, 0, 2, 0, 3)
+
+
+@pytest.mark.parametrize("tag,doc_tag", [
+    ("cube-list-test", ["cx"]), ("cube-num-test", 7), (("cube",), None), (5, None),
+])
+def test_register_rejects_a_tag_that_is_not_a_string(tag, doc_tag):
+    # the registry maps are keyed by name, and a document names its base by a str
+    before = _registry_copy()
+    with pytest.raises(DomainError, match="is not a string$"):
+        register_base(_cube(tag, doc_tag=doc_tag))
+    assert _registry_copy() == before
+    with pytest.raises(DocumentError, match="^unknown base tag "):
+        ofn_from_doc({"base": doc_tag or tag, "tuple": [1, 0, -1, 2]})

@@ -10,9 +10,10 @@ import pytest
 import ofnring
 from ofnring import (BaseFunction, OfnError, ParseError, cli, demo,
                      parse_expression, register_base)
-from ofnring.bases import _REGISTRY
 from ofnring.cli import main
 from ofnring.documents import ofn_from_doc
+
+from helpers import unregister
 
 
 def write_doc(tmp_path, name, doc):
@@ -276,7 +277,7 @@ def markup_base():
     try:
         yield tag
     finally:
-        _REGISTRY.pop(tag, None)
+        unregister(tag)
 
 
 def test_plot_escapes_the_caption(tmp_path, markup_base):

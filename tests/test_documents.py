@@ -6,13 +6,12 @@ from enum import IntEnum
 
 import pytest
 
-from ofnring import (BaseFunction, DocumentError, ParseError, crisp, documents,
+from ofnring import (BaseFunction, DocumentError, ParseError, crisp,
                      parse_expression, register_base)
-from ofnring.bases import _REGISTRY, base_named
 from ofnring.documents import MAX_NODES, graph_from_doc, ofn_from_doc
 from ofnring.expr import MAX_DEPTH
 
-from helpers import reference_graph_from_doc, reference_ofn_from_doc
+from helpers import reference_graph_from_doc, reference_ofn_from_doc, unregister
 
 
 def test_integer_too_large_for_a_float_is_a_document_error():
@@ -61,7 +60,7 @@ def cube_doc_tag():
     try:
         yield CUBE_DOC
     finally:
-        _REGISTRY.pop(CUBE, None)
+        unregister(CUBE)
 
 
 class Slot(IntEnum):
@@ -203,35 +202,12 @@ def test_first_bad_edge_decides_the_error():
         assert _outcome(graph_from_doc, doc) == want == _outcome(reference_graph_from_doc, doc)
 
 
-def test_graph_resolves_each_tag_once(monkeypatch):
-    calls = []
-
-    def counting(field, name):
-        calls.append(name)
-        return base_named(field, name)
-
-    monkeypatch.setattr(documents, "base_named", counting)
-    rng = random.Random(47)
-    edges = [{"from": rng.randrange(100), "to": rng.randrange(100),
-              "weight": _weight(rng, "gaussian")} for _ in range(1000)]
-    assert graph_from_doc({"nodes": 100, "edges": edges}).base == "gaussian-inverse"
-    assert calls == ["gaussian"]
-    calls.clear()
-    edges[500:] = [{"from": 0, "to": 1, "weight": _weight(rng, "sqrt", slopes=False)}] * 500
-    graph_from_doc({"nodes": 100, "edges": edges})
-    assert calls == ["gaussian", "sqrt"]
-    calls.clear()
-    ofn_from_doc(edges[0]["weight"])
-    ofn_from_doc(edges[0]["weight"])
-    assert calls == ["gaussian", "gaussian"]
-
-
 def test_no_tag_lookup_outlives_a_load(cube_doc_tag):
     doc = {"nodes": 2, "edges": [{"from": 0, "to": 1,
                                   "weight": {"base": CUBE_DOC, "tuple": [1, 0, -1, 2]}}]}
     assert graph_from_doc(doc).base == CUBE
     assert ofn_from_doc(doc["edges"][0]["weight"]).base == CUBE
-    _REGISTRY.pop(CUBE)
+    unregister(CUBE)
     for load in (graph_from_doc, lambda d: ofn_from_doc(d["edges"][0]["weight"])):
         with pytest.raises(DocumentError, match=f"^unknown base tag '{CUBE_DOC}'$"):
             load(doc)

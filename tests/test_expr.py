@@ -13,10 +13,9 @@ import pytest
 
 from ofnring import (BaseFunction, DivisionByZero, ParseError, crisp,
                      parse_expression, register_base, typed)
-from ofnring.bases import _REGISTRY
 from ofnring.expr import MAX_DEPTH, _tokenize
 
-from helpers import reference_parse_expression
+from helpers import reference_parse_expression, unregister
 
 
 def nested(depth: int) -> str:
@@ -130,7 +129,7 @@ def cube_literal():
     try:
         yield "cubelit"
     finally:
-        _REGISTRY.pop(CUBE, None)
+        unregister(CUBE)
 
 
 def outcome(parse, text):
@@ -229,6 +228,6 @@ def test_a_base_registered_after_a_parse_reads_through_its_literal():
         with pytest.raises(ParseError, match=r"^expected ',', found '\)' \(at position 13\)$"):
             parse_expression("latelit(1,2,3)")
     finally:
-        _REGISTRY.pop("late-test", None)
+        unregister("late-test")
     with pytest.raises(ParseError, match="^unknown literal 'latelit' "):
         parse_expression("latelit(1,2,3,4)")

@@ -1,6 +1,8 @@
 """Ranking functional, ordering, fuzzy-weighted shortest paths."""
 import math
 import random
+from enum import IntEnum
+from fractions import Fraction
 
 import pytest
 
@@ -10,10 +12,9 @@ from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, BaseFunction,
                      rectangular, register_base, scalar_mul, shortest_paths,
                      trapezoid, typed)
 from ofnring import pathalgebra
-from ofnring.bases import _REGISTRY
 
 from helpers import (ALL_BASES, close, exhaustive_min_paths, random_any,
-                     random_digraph, round_robin_shortest_paths)
+                     random_digraph, round_robin_shortest_paths, unregister)
 
 
 def test_rank_pinned_values():
@@ -35,6 +36,31 @@ def test_rank_is_linear(base):
         y = random_any(rng, base)
         assert close(rank(x + y), rank(x) + rank(y))
         assert close(rank(scalar_mul(3.0, x)), 3.0 * rank(x))
+
+
+def test_rank_halves_before_adding():
+    # the exact rank is 1.5e308; adding the slopes first overflowed to inf
+    assert rank(trapezoid(1e308, 1e308, 1e308, 1e308)) == 1.5e308
+    rng = random.Random(71)
+    for _ in range(2000):
+        base = rng.choice(ALL_BASES)
+        scale = 10.0 ** rng.randint(-300, 300)
+        x = typed(base, *(rng.uniform(-1.0, 1.0) * scale for _ in range(4)))
+        us, uo, ds, do = x.coeffs
+        integral = get_base(base).integral
+        # halving a normal float is exact, so on normal input nothing changes
+        old = 0.5 * (us + ds) * integral + 0.5 * (uo + do)
+        assert rank(x).hex() == old.hex()
+    tiny = Fraction(math.ulp(0.0))
+    for _ in range(2000):
+        base = rng.choice(ALL_BASES)
+        c = [rng.randint(1 - 2 ** 52, 2 ** 52 - 1) * math.ulp(0.0) for _ in range(4)]
+        integral = Fraction(get_base(base).integral)
+        exact = (Fraction(c[0]) + Fraction(c[2])) / 2 * integral \
+            + (Fraction(c[1]) + Fraction(c[3])) / 2
+        # subnormal halves round; each step adds at most half a unit, and the
+        # product also carries the halves' error times the integral (at most 1.26)
+        assert abs(Fraction(rank(typed(base, *c))) - exact) <= 4 * tiny
 
 
 def test_ofn_min_by_rank_then_tuple():
@@ -60,6 +86,12 @@ def test_ofn_min_base_guard():
 # digraph validation
 # ---------------------------------------------------------------------------
 
+class Slot(IntEnum):
+    ZERO = 0
+    ONE = 1
+    TWO = 2
+
+
 def test_digraph_validation():
     with pytest.raises(DomainError):
         FuzzyDigraph(0, ())
@@ -68,6 +100,25 @@ def test_digraph_validation():
     with pytest.raises(MixedTypeError):
         FuzzyDigraph(2, ((0, 1, typed(GAUSSIAN_INVERSE, -1, 0, 1, 1)),
                          (1, 0, typed(LOG, 1, 0, -1, 1))))
+    # an IntEnum is an int and not a bool, so it numbers a node
+    g = FuzzyDigraph(Slot.TWO, ((Slot.ZERO, Slot.ONE, crisp(1.0)),))
+    assert shortest_paths(g, Slot.ZERO).predecessors == (None, 0)
+
+
+@pytest.mark.parametrize("nodes,edges,source", [
+    (3, ((0.5, 1, crisp(1.0)),), 0),
+    (3, ((0, 1.0, crisp(1.0)),), 0),
+    (3.5, ((0, 1, crisp(1.0)),), 0),
+    (True, (), 0),
+    (3, ((True, 2, crisp(1.0)),), 0),
+    (3, ((0, 1, "crisp(1)"),), 0),
+    (3, ((0, 1, crisp(1.0)),), 0.5),
+    (3, ((0, 1, crisp(1.0)),), True),
+])
+def test_graph_indices_and_weights_are_checked_when_built(nodes, edges, source):
+    # a node number is an int and not a bool, and a weight is a TypedOfn
+    with pytest.raises(DomainError):
+        shortest_paths(FuzzyDigraph(nodes, edges), source)
 
 
 def test_digraph_base_derivation():
@@ -219,7 +270,7 @@ def cube():
     try:
         yield CUBE
     finally:
-        _REGISTRY.pop(CUBE, None)
+        unregister(CUBE)
 
 
 def outcome(run, g: FuzzyDigraph):

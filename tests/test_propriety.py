@@ -10,10 +10,9 @@ from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, BaseFunction,
                      correct_type_iii, get_base, membership, membership_eval,
                      membership_from_sides, orientation, rectangular,
                      register_base, side_eval, trapezoid, typed)
-from ofnring.bases import _REGISTRY
 
 from helpers import (ALL_BASES, BOUNDED_BASES, assert_tuple, random_any, random_improper,
-                     random_proper)
+                     random_proper, unregister)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +102,7 @@ def one_minus_cube():
     try:
         yield ONE_MINUS_CUBE
     finally:
-        _REGISTRY.pop(ONE_MINUS_CUBE, None)
+        unregister(ONE_MINUS_CUBE)
 
 
 @pytest.mark.parametrize("base,tup,want", [
@@ -369,8 +368,9 @@ def test_coefficient_differences_beyond_the_float_range(x):
 
 
 def test_membership_branch_guard():
-    with pytest.raises(DegenerateError):
-        MembershipBranch(Side(IDENTITY, 0.0, 1.0), 0.0, 1.0)
+    for lo, hi in ((0.0, 1.0), (0.0, 0.0)):
+        with pytest.raises(DegenerateError):
+            MembershipBranch(Side(IDENTITY, 0.0, 1.0), lo, hi)
 
 
 @pytest.mark.parametrize("base", ALL_BASES)
