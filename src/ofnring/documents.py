@@ -7,7 +7,9 @@ one checked pass over a document: the keys, the tag (resolved to its registry
 record), then the four numbers through EssentialTuple's number rule.
 A graph document is {"nodes": n, "edges": [{"from": u, "to": v,
 "weight": <ofn document>}]}, with n at most MAX_NODES: a shortest-path run
-allocates a distance and a predecessor slot per node.
+allocates a distance and a predecessor slot per node.  The graph loader runs
+the same checks on each weight and keeps it as the plain record
+(u, v, tag, four floats) that FuzzyDigraph stores; it builds no TypedOfn.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import Any
 
 from .bases import base_named, get_base
 from .errors import DocumentError, DomainError
-from .pathalgebra import FuzzyDigraph
+from .pathalgebra import FuzzyDigraph, _digraph
 from .ring import EssentialTuple, TypedOfn, _typed_on
 
 MAX_NODES = 10**6
@@ -28,7 +30,8 @@ def ofn_to_doc(x: TypedOfn) -> dict[str, Any]:
     return {"base": get_base(x.base).doc_tag, "tuple": list(x.coeffs.as_tuple())}
 
 
-def ofn_from_doc(doc: Any) -> TypedOfn:
+def _checked_weight(doc: Any) -> tuple[str, EssentialTuple]:
+    """The base tag and the checked tuple of an OFN document."""
     if not isinstance(doc, dict):
         raise DocumentError(f"expected an object, got {type(doc).__name__}")
     if not _OFN_KEYS.issuperset(doc):
@@ -39,10 +42,14 @@ def ofn_from_doc(doc: Any) -> TypedOfn:
     tup = doc.get("tuple")
     try:
         if isinstance(tup, list) and len(tup) == 4:
-            return _typed_on(b.tag, EssentialTuple(*tup))
+            return b.tag, EssentialTuple(*tup)
     except DomainError:
         pass
     raise DocumentError("tuple must be a list of 4 finite numbers")
+
+
+def ofn_from_doc(doc: Any) -> TypedOfn:
+    return _typed_on(*_checked_weight(doc))
 
 
 def _load_json(path: str) -> Any:
@@ -68,7 +75,7 @@ def graph_from_doc(doc: Any) -> FuzzyDigraph:
     edges_doc = doc.get("edges")
     if not isinstance(edges_doc, list):
         raise DocumentError('graph document needs an "edges" list')
-    edges = []
+    records = []
     for e in edges_doc:
         if not (isinstance(e, dict) and "from" in e and "to" in e and "weight" in e):
             raise DocumentError('each edge needs "from", "to" and "weight"')
@@ -76,8 +83,9 @@ def graph_from_doc(doc: Any) -> FuzzyDigraph:
         if isinstance(u, bool) or isinstance(v, bool) \
                 or not isinstance(u, int) or not isinstance(v, int):
             raise DocumentError("edge endpoints must be integers")
-        edges.append((u, v, ofn_from_doc(e["weight"])))
-    return FuzzyDigraph(doc["nodes"], tuple(edges))
+        tag, coeffs = _checked_weight(e["weight"])
+        records.append((u, v, tag, tuple(coeffs)))
+    return _digraph(doc["nodes"], records)
 
 
 def load_graph(path: str) -> FuzzyDigraph:

@@ -13,15 +13,26 @@ form, Bellman-Ford-Moore: only a node whose distance improved is scanned
 again.  The order is translation-invariant under ring addition, so a walk
 that repeats a node improves a distance only by going round a negative cycle,
 and a distance whose walk has as many edges as the graph has nodes marks one.
+
+A FuzzyDigraph keeps each weight as a plain record
+(u, v, tag, (up_slope, up_offset, down_slope, down_offset)), and the search
+adds and ranks those four floats directly: it builds a TypedOfn only for each
+final distance.  The edges attribute, (u, v, TypedOfn) triples, is built from
+the records on first read.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import inf
+from typing import Any, Iterable, Iterator
 
 from .bases import get_base
 from .errors import DomainError, NegativeCycle
-from .ring import TypedOfn, _result_base, add, rectangular
+from .ring import EssentialTuple, TypedOfn, _result, _result_base, _typed_on
+
+# (u, v, base tag, (up_slope, up_offset, down_slope, down_offset))
+Record = tuple[int, int, str, tuple[float, float, float, float]]
 
 
 def _is_index(x: object) -> bool:
@@ -47,34 +58,118 @@ def ofn_min(x: TypedOfn, y: TypedOfn) -> TypedOfn:
     return x if x.coeffs <= y.coeffs else y
 
 
-@dataclass(frozen=True)
+def _weight(tag: str, coeffs: tuple[float, float, float, float]) -> TypedOfn:
+    """The TypedOfn of a record's checked tag and coefficients."""
+    return _typed_on(tag, tuple.__new__(EssentialTuple, coeffs))
+
+
 class FuzzyDigraph:
-    """A digraph whose edges carry typed-OFN weights on one common base."""
+    """A digraph whose edges carry typed-OFN weights on one common base.
 
-    nodes: int
-    edges: tuple[tuple[int, int, TypedOfn], ...]
-    base: str = field(init=False)  # the base of the non-rectangular weights
+    FuzzyDigraph(nodes, edges) takes (u, v, TypedOfn) triples; a node number
+    is an int and not a bool.  Immutable; repr, equality and hash are those
+    of the fields nodes, edges and base.
+    """
 
-    def __post_init__(self):
-        if not _is_index(self.nodes):
-            raise DomainError(f"the node count {self.nodes!r} is not an integer")
-        if self.nodes < 1:
-            raise DomainError("a digraph needs at least one node")
-        first = None  # the first typed weight fixes the base
-        for u, v, w in self.edges:
-            # _is_index(u) and _is_index(v), inlined: this runs once per edge
-            if not (isinstance(u, int) and isinstance(v, int)
-                    and u.__class__ is not bool and v.__class__ is not bool):
-                raise DomainError(f"edge ({u!r}, {v!r}) has an endpoint that is not an integer")
-            if not (0 <= u < self.nodes and 0 <= v < self.nodes):
-                raise DomainError(f"edge ({u}, {v}) leaves the node range")
-            if not isinstance(w, TypedOfn):
-                raise DomainError(f"edge ({u}, {v}) has a weight that is not a TypedOfn")
-            if not w.is_rectangular:
-                first = first or w
-                if w.base != first.base:
-                    _result_base(first, w)
-        object.__setattr__(self, "base", first.base if first else "identity")
+    __slots__ = ("nodes", "base", "_records", "_edges")
+
+    def __new__(cls, nodes: int, edges: Iterable[tuple[int, int, TypedOfn]]) -> "FuzzyDigraph":
+        if not _is_index(nodes):
+            raise DomainError(f"the node count {nodes!r} is not an integer")
+        try:
+            edges = tuple(edges)
+        except TypeError:
+            raise DomainError(f"edges must be (u, v, weight) triples, got {edges!r}") from None
+        return _digraph(nodes, _checked_records(nodes, edges), edges)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, TypedOfn], ...]:
+        """The (u, v, TypedOfn) triples, built from the records on first read."""
+        if self._edges is None:
+            _set_edges(self, tuple((u, v, _weight(tag, c)) for u, v, tag, c in self._records))
+        return self._edges
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple[int, tuple[tuple[int, int, TypedOfn], ...], str]:
+        return self.nodes, self.edges, self.base
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return f"FuzzyDigraph(nodes={self.nodes!r}, edges={self.edges!r}, base={self.base!r})"
+
+    def __reduce__(self):
+        return (FuzzyDigraph, (self.nodes, self.edges))
+
+
+# the slots, written past FuzzyDigraph.__setattr__ by _digraph and edges
+_set_nodes = FuzzyDigraph.nodes.__set__
+_set_base = FuzzyDigraph.base.__set__
+_set_records = FuzzyDigraph._records.__set__
+_set_edges = FuzzyDigraph._edges.__set__
+
+
+def _checked_records(nodes: int, edges: tuple[Any, ...]) -> Iterator[Record]:
+    """The record of each (u, v, weight) triple, checked as it is reached.
+
+    The endpoints, then their range, then the weight: an edge's faults are
+    reported in that order, and an earlier edge's before a later one's.
+    """
+    for e in edges:
+        try:
+            u, v, w = e
+        except (TypeError, ValueError):
+            raise DomainError(f"edge {e!r} is not a (u, v, weight) triple") from None
+        # _is_index(u) and _is_index(v), inlined: this runs once per edge
+        if not (isinstance(u, int) and isinstance(v, int)
+                and u.__class__ is not bool and v.__class__ is not bool):
+            raise DomainError(f"edge ({u!r}, {v!r}) has an endpoint that is not an integer")
+        if not (0 <= u < nodes and 0 <= v < nodes):
+            raise DomainError(f"edge ({u}, {v}) leaves the node range")
+        if not isinstance(w, TypedOfn):
+            raise DomainError(f"edge ({u}, {v}) has a weight that is not a TypedOfn")
+        yield u, v, w.base, tuple(w.coeffs)
+
+
+def _digraph(nodes: int, records: Iterable[Record],
+             edges: tuple[tuple[int, int, TypedOfn], ...] | None = None) -> FuzzyDigraph:
+    """The graph of records whose endpoints are ints and whose weights are checked.
+
+    Checks the node count, then each record's node range and base in order;
+    the first weight with a slope fixes the base.  `edges`, when given, are
+    the triples the records came from.
+    """
+    if nodes < 1:
+        raise DomainError("a digraph needs at least one node")
+    kept = []
+    first = None
+    for r in records:
+        u, v, tag, (up_slope, _, down_slope, _) = r
+        if not (0 <= u < nodes and 0 <= v < nodes):
+            raise DomainError(f"edge ({u}, {v}) leaves the node range")
+        if up_slope != 0.0 or down_slope != 0.0:
+            if first is None:
+                first = r
+            elif tag != first[2]:
+                _result_base(_weight(*first[2:]), _weight(tag, r[3]))  # MixedTypeError
+        kept.append(r)
+    g = object.__new__(FuzzyDigraph)
+    _set_nodes(g, nodes)
+    _set_base(g, first[2] if first else "identity")
+    _set_records(g, tuple(kept))
+    _set_edges(g, edges)
+    return g
 
 
 @dataclass(frozen=True)
@@ -83,7 +178,7 @@ class ShortestPathResult:
     distances: tuple[TypedOfn | None, ...]
     predecessors: tuple[int | None, ...]
     scans: int        # nodes taken off the queue
-    relaxations: int  # edges examined, one add() each
+    relaxations: int  # edges examined, one path sum each
 
 
 def shortest_paths(g: FuzzyDigraph, source: int) -> ShortestPathResult:
@@ -101,41 +196,57 @@ def shortest_paths(g: FuzzyDigraph, source: int) -> ShortestPathResult:
     and a cycle left in the predecessor graph once the queue empties, which
     rounding can leave behind without any edge still improving (Cherkassky &
     Goldberg, Math. Programming 85, 1999).
+
+    The sums and ranks are those of ring add and rank, taken on the four
+    floats: a sum with a component beyond the float range raises
+    ArithmeticOverflow whether or not it would be kept, and a distance takes
+    its base as add does.
     """
     n = g.nodes
     if not (_is_index(source) and 0 <= source < n):
         raise DomainError(f"source {source} is not a node")
-    out: list[list[tuple[int, TypedOfn]]] = [[] for _ in range(n)]
-    for u, v, w in g.edges:
-        out[u].append((v, w))
-    dist: list[TypedOfn | None] = [None] * n
-    keys: list[float | None] = [None] * n  # rank(dist[v]), kept beside dist
+    gbase = g.base
+    integral = get_base(gbase).integral
+    out: list[list[Record]] = [[] for _ in range(n)]
+    for r in g._records:
+        out[r[0]].append(r)
+    dist: list[tuple[float, float, float, float] | None] = [None] * n
+    keys: list[float | None] = [None] * n  # the rank of dist[v], kept beside it
+    bases: list[str | None] = [None] * n
     pred: list[int | None] = [None] * n
     hops = [0] * n  # edges on the walk that gave dist[v]
     queued = [False] * n
-    dist[source] = rectangular(0.0, 0.0, base=g.base)
-    keys[source] = rank(dist[source])
+    dist[source], keys[source], bases[source] = (0.0, 0.0, 0.0, 0.0), 0.0, gbase
     queue = deque([source])
     queued[source] = True
     scans = relaxations = 0
     while queue:
         u = queue.popleft()
         queued[u] = False
-        du, h, edges = dist[u], hops[u] + 1, out[u]
+        d0, d1, d2, d3 = dist[u]
+        # add's base: the weight's when the distance is rectangular, else the
+        # graph's, which every weight with a slope shares
+        ubase = gbase if d0 != 0.0 or d2 != 0.0 else None
+        h, edges = hops[u] + 1, out[u]
         scans += 1
         relaxations += len(edges)
-        for v, w in edges:
-            cand = add(du, w)
-            kc, kv = rank(cand), keys[v]
-            if dist[v] is None or (kc < kv if kc != kv else cand.coeffs < dist[v].coeffs):
+        for _, v, tag, (w0, w1, w2, w3) in edges:
+            c0, c1, c2, c3 = d0 + w0, d1 + w1, d2 + w2, d3 + w3
+            kc = (0.5 * c0 + 0.5 * c2) * integral + (0.5 * c1 + 0.5 * c3)
+            if not -inf < kc < inf:  # an overflowed component raises here
+                _result(ubase or tag, c0, c1, c2, c3)
+            kv = keys[v]
+            if kv is None or kc < kv or (kc == kv and (c0, c1, c2, c3) < dist[v]):
                 if v == source or h >= n:
                     raise NegativeCycle("relaxation keeps improving; negative-rank cycle")
-                dist[v], keys[v], pred[v], hops[v] = cand, kc, u, h
+                dist[v], keys[v], bases[v], pred[v], hops[v] = \
+                    (c0, c1, c2, c3), kc, ubase or tag, u, h
                 if not queued[v]:
                     queued[v] = True
                     queue.append(v)
     _check_predecessor_tree(pred)
-    return ShortestPathResult(source, tuple(dist), tuple(pred), scans, relaxations)
+    distances = tuple(None if d is None else _result(b, *d) for d, b in zip(dist, bases))
+    return ShortestPathResult(source, distances, tuple(pred), scans, relaxations)
 
 
 def _check_predecessor_tree(pred: list[int | None]) -> None:

@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import random
 import re
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from typing import Any
 
 from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, DocumentError,
                      DomainError, FuzzyDigraph, NegativeCycle, ParseError,
-                     TypedOfn, add, classify, rank, rectangular, ring, typed)
+                     ShortestPathResult, TypedOfn, add, classify, rank,
+                     rectangular, ring, typed)
 from ofnring.bases import _NAME, _REGISTRY, _TYPELESS_ARITY, base_named, get_base
 from ofnring.documents import MAX_NODES
 from ofnring.expr import MAX_DEPTH
@@ -167,6 +168,50 @@ def round_robin_shortest_paths(g: FuzzyDigraph, source: int
             break
     _check_predecessor_tree(pred)
     return tuple(dist), tuple(pred)
+
+
+def reference_queue_shortest_paths(g: FuzzyDigraph, source: int) -> ShortestPathResult:
+    """Queue-driven Bellman-Ford on TypedOfn weights: the test oracle.
+
+    The search as it was before it worked on plain coefficient tuples: each
+    candidate is ring add(dist[u], weight), ranked by rank(), so the ring
+    decides every sum's base and overflow, and `relaxations` counts the add
+    calls.  The queue order, the order on paths and the NegativeCycle tests
+    are those of shortest_paths.
+    """
+    n = g.nodes
+    if not (isinstance(source, int) and not isinstance(source, bool) and 0 <= source < n):
+        raise DomainError(f"source {source} is not a node")
+    out: list[list[tuple[int, TypedOfn]]] = [[] for _ in range(n)]
+    for u, v, w in g.edges:
+        out[u].append((v, w))
+    dist: list[TypedOfn | None] = [None] * n
+    keys: list[float | None] = [None] * n
+    pred: list[int | None] = [None] * n
+    hops = [0] * n
+    queued = [False] * n
+    dist[source] = rectangular(0.0, 0.0, base=g.base)
+    keys[source] = rank(dist[source])
+    queue = deque([source])
+    queued[source] = True
+    scans = relaxations = 0
+    while queue:
+        u = queue.popleft()
+        queued[u] = False
+        scans += 1
+        for v, w in out[u]:
+            cand = add(dist[u], w)
+            relaxations += 1
+            kc, kv = rank(cand), keys[v]
+            if dist[v] is None or (kc < kv if kc != kv else cand.coeffs < dist[v].coeffs):
+                if v == source or hops[u] + 1 >= n:
+                    raise NegativeCycle("relaxation keeps improving; negative-rank cycle")
+                dist[v], keys[v], pred[v], hops[v] = cand, kc, u, hops[u] + 1
+                if not queued[v]:
+                    queued[v] = True
+                    queue.append(v)
+    _check_predecessor_tree(pred)
+    return ShortestPathResult(source, tuple(dist), tuple(pred), scans, relaxations)
 
 
 def reference_ofn_from_doc(doc: Any) -> TypedOfn:

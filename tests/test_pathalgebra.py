@@ -1,20 +1,23 @@
 """Ranking functional, ordering, fuzzy-weighted shortest paths."""
+import copy
 import math
+import pickle
 import random
 from enum import IntEnum
 from fractions import Fraction
 
 import pytest
 
-from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, BaseFunction,
-                     DomainError, FuzzyDigraph, MixedTypeError, NegativeCycle,
-                     crisp, get_base, ofn_min, rank,
+from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, ArithmeticOverflow,
+                     BaseFunction, DomainError, FuzzyDigraph, MixedTypeError,
+                     NegativeCycle, crisp, get_base, ofn_min, rank,
                      rectangular, register_base, scalar_mul, shortest_paths,
                      trapezoid, typed)
-from ofnring import pathalgebra
+from ofnring.documents import graph_from_doc
 
 from helpers import (ALL_BASES, close, exhaustive_min_paths, random_any,
-                     random_digraph, round_robin_shortest_paths, unregister)
+                     random_digraph, reference_queue_shortest_paths,
+                     round_robin_shortest_paths, unregister)
 
 
 def test_rank_pinned_values():
@@ -114,9 +117,15 @@ def test_digraph_validation():
     (3, ((0, 1, "crisp(1)"),), 0),
     (3, ((0, 1, crisp(1.0)),), 0.5),
     (3, ((0, 1, crisp(1.0)),), True),
+    (3, ((0, 1),), 0),
+    (3, ((0, 1, crisp(1.0), 2),), 0),
+    (3, (5,), 0),
+    (3, None, 0),
+    (3, 7, 0),
 ])
 def test_graph_indices_and_weights_are_checked_when_built(nodes, edges, source):
-    # a node number is an int and not a bool, and a weight is a TypedOfn
+    # a node number is an int and not a bool, a weight is a TypedOfn, and
+    # the edges are (u, v, weight) triples
     with pytest.raises(DomainError):
         shortest_paths(FuzzyDigraph(nodes, edges), source)
 
@@ -126,6 +135,38 @@ def test_digraph_base_derivation():
                          (1, 0, crisp(1.0))))
     assert g.base == GAUSSIAN_INVERSE
     assert FuzzyDigraph(2, ((0, 1, crisp(1.0)),)).base == IDENTITY
+
+
+def test_a_list_of_edges_is_stored_as_a_tuple():
+    edges = [(0, 1, crisp(1.0))]
+    g = FuzzyDigraph(3, edges)
+    edges.append((1, 2, crisp(1.0)))
+    assert g.edges == ((0, 1, crisp(1.0)),)
+
+
+def test_digraph_value_semantics():
+    g = FuzzyDigraph(3, ((0, 1, trapezoid(1, 0, -1, 2)), (1, 2, crisp(1.0))))
+    assert repr(g) == (
+        "FuzzyDigraph(nodes=3, edges=((0, 1, TypedOfn(base='identity', coeffs="
+        "EssentialTuple(up_slope=1.0, up_offset=0.0, down_slope=-1.0, down_offset=2.0))), "
+        "(1, 2, TypedOfn(base='identity', coeffs=EssentialTuple(up_slope=0.0, "
+        "up_offset=1.0, down_slope=0.0, down_offset=1.0)))), base='identity')")
+    loaded = graph_from_doc({"nodes": 3, "edges": [
+        {"from": 0, "to": 1, "weight": {"base": "identity", "tuple": [1, 0, -1, 2]}},
+        {"from": 1, "to": 2, "weight": {"base": "identity", "tuple": [0, 1, 0, 1]}}]})
+    assert loaded == g and hash(loaded) == hash(g) and repr(loaded) == repr(g)
+    assert g != FuzzyDigraph(3, g.edges[:1]) and g != FuzzyDigraph(4, g.edges)
+    for attr in ("nodes", "edges", "base"):
+        with pytest.raises(AttributeError):
+            setattr(loaded, attr, getattr(g, attr))
+        with pytest.raises(AttributeError):
+            delattr(loaded, attr)
+    clones = [pickle.loads(pickle.dumps(x, protocol)) for x in (g, loaded)
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    clones += [clone(x) for x in (g, loaded) for clone in (copy.copy, copy.deepcopy)]
+    for back in clones:
+        assert type(back) is FuzzyDigraph and back == g and repr(back) == repr(g)
+        assert shortest_paths(back, 0) == shortest_paths(g, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -315,18 +356,67 @@ def test_relaxations_stay_below_two_per_edge():
     assert (res.distances, res.predecessors) == round_robin_shortest_paths(g, 0)
 
 
-def test_relaxations_count_the_add_calls(monkeypatch):
-    calls = 0
-    ring_add = pathalgebra.add
+def kernel_outcome(search, g: FuzzyDigraph, source: int):
+    """Every distance as its base and float.hex coefficients, the predecessors
+    and both counts; or the class and message of what the search raised."""
+    try:
+        res = search(g, source)
+    except (NegativeCycle, ArithmeticOverflow) as e:
+        return type(e), str(e)
+    distances = [None if d is None else (d.base, [c.hex() for c in d.coeffs])
+                 for d in res.distances]
+    return distances, res.predecessors, res.scans, res.relaxations
 
-    def counting_add(x, y):
-        nonlocal calls
-        calls += 1
-        return ring_add(x, y)
 
-    monkeypatch.setattr(pathalgebra, "add", counting_add)
-    res = shortest_paths(random_digraph(random.Random(9), SQRT, 60, 400, "negedge"), 0)
-    assert res.relaxations == calls > 0
+@pytest.mark.parametrize("kind", ["nonneg", "negedge", "negcycle"])
+@pytest.mark.parametrize("base", ALL_BASES + (CUBE,))
+def test_kernel_matches_the_reference_queue_loop(cube, base, kind):
+    rng = random.Random(f"kernel/{base}/{kind}")
+    for nodes, edges in ((4, 8), (6, 14), (12, 40), (40, 160), (60, 400)):
+        g = random_digraph(rng, base, nodes, edges, kind)
+        for source in (0, nodes // 2):
+            want = kernel_outcome(reference_queue_shortest_paths, g, source)
+            assert kernel_outcome(shortest_paths, g, source) == want
+            if source == 0 and kind == "negcycle":
+                assert want[0] is NegativeCycle
+
+
+def test_kernel_tracks_the_base_of_rectangular_distances(cube):
+    # a rectangular distance adopts the base of the rectangular weight added
+    # to it, so on an all-rectangular graph the bases of distances vary
+    rng = random.Random(13)
+    bases_seen = set()
+    for _ in range(30):
+        nodes = rng.randint(2, 12)
+        edges = tuple((rng.randrange(nodes), rng.randrange(nodes),
+                       rectangular(rng.uniform(-1.0, 3.0), rng.uniform(-1.0, 3.0),
+                                   base=rng.choice(ALL_BASES + (CUBE,))))
+                      for _ in range(rng.randint(1, 3 * nodes)))
+        g = FuzzyDigraph(nodes, edges)
+        assert g.base == IDENTITY
+        want = kernel_outcome(reference_queue_shortest_paths, g, 0)
+        assert kernel_outcome(shortest_paths, g, 0) == want
+        if not isinstance(want[0], type):
+            bases_seen.update(d[0] for d in want[0] if d is not None)
+    assert bases_seen == set(ALL_BASES + (CUBE,))
+
+
+OVERFLOW = (ArithmeticOverflow, "overflow: tuple component up_offset must be finite, got inf")
+
+
+@pytest.mark.parametrize("edges,overflows", [
+    # node 2 keeps distance 0; the candidate 1.7e308 + 1.7e308 for it would lose
+    (((0, 2, crisp(0.0)), (0, 1, crisp(1.7e308)), (1, 2, crisp(1.7e308))), True),
+    # the same overflow on a candidate that would be kept
+    (((0, 1, crisp(1.7e308)), (1, 2, crisp(1.7e308))), True),
+    # finite components whose rank is not: the search goes on
+    (((0, 1, typed(GAUSSIAN_INVERSE, 1.7e308, 0, 1.7e308, 0)), (1, 2, crisp(1.0))), False),
+])
+def test_the_first_overflowing_candidate_raises(edges, overflows):
+    g = FuzzyDigraph(3, edges)
+    want = kernel_outcome(reference_queue_shortest_paths, g, 0)
+    assert kernel_outcome(shortest_paths, g, 0) == want
+    assert (want == OVERFLOW) is overflows
 
 
 def test_negative_self_loop_is_a_negative_cycle():

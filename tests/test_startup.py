@@ -97,6 +97,6 @@ def test_every_public_name_resolves(report):
 
 
 def test_no_dataclass_joins_the_start_up_path(report):
-    # eight: BaseFunction, Interval, Side, ProprietyReport, MembershipBranch,
-    # MembershipFunction, FuzzyDigraph and ShortestPathResult
-    assert len(report["startup_dataclasses"]) <= 8, report["startup_dataclasses"]
+    # seven: BaseFunction, Interval, Side, ProprietyReport, MembershipBranch,
+    # MembershipFunction and ShortestPathResult
+    assert len(report["startup_dataclasses"]) <= 7, report["startup_dataclasses"]
