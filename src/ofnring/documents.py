@@ -2,24 +2,30 @@
 
 An OFN document is {"base": tag, "tuple": [up_slope, up_offset, down_slope,
 down_offset]}; its tag and the symbol that renders h in a side formula are
-the doc_tag and symbol fields of the base's registry record.  The loader makes
-one checked pass over a document: the keys, the tag (resolved to its registry
-record), then the four numbers through EssentialTuple's number rule.
+the doc_tag and symbol fields of the base's registry record.  One weight check
+serves both loaders.  It decides the common document at once: a plain dict
+with the two keys, a str tag found among the doc tags, and a plain list of
+four floats whose sum is finite (so each float is finite).  Any other input
+falls through to the full pass: the keys, the tag (resolved to its registry
+record), then the four numbers through EssentialTuple's number rule, so the
+first fault found is the same either way.
 A graph document is {"nodes": n, "edges": [{"from": u, "to": v,
 "weight": <ofn document>}]}, with n at most MAX_NODES: a shortest-path run
-allocates a distance and a predecessor slot per node.  The graph loader runs
-the same checks on each weight and keeps it as the plain record
-(u, v, tag, four floats) that FuzzyDigraph stores; it builds no TypedOfn.
+allocates a distance and a predecessor slot per node.  The graph loader keeps
+each weight as the plain record (u, v, tag, four floats) that FuzzyDigraph
+stores; it builds no TypedOfn.  FuzzyDigraph's constructor then checks node
+range and mixed bases.
 """
 from __future__ import annotations
 
 import json
+from math import isfinite
 from typing import Any
 
-from .bases import base_named, get_base
+from .bases import _REGISTRY, base_named, get_base
 from .errors import DocumentError, DomainError
-from .pathalgebra import FuzzyDigraph, _digraph
-from .ring import EssentialTuple, TypedOfn, _typed_on
+from .pathalgebra import FuzzyDigraph, _digraph, _weight
+from .ring import EssentialTuple, TypedOfn
 
 MAX_NODES = 10**6
 
@@ -30,26 +36,34 @@ def ofn_to_doc(x: TypedOfn) -> dict[str, Any]:
     return {"base": get_base(x.base).doc_tag, "tuple": list(x.coeffs.as_tuple())}
 
 
-def _checked_weight(doc: Any) -> tuple[str, EssentialTuple]:
-    """The base tag and the checked tuple of an OFN document."""
+def _checked_weight(doc: Any) -> tuple[str, tuple[float, float, float, float]]:
+    """The base tag and the four checked floats of an OFN document."""
+    if doc.__class__ is dict and len(doc) == 2:  # the common case, decided at once
+        tag, tup = doc.get("base"), doc.get("tuple")
+        if (tag.__class__ is str and tup.__class__ is list and len(tup) == 4
+                and (b := _REGISTRY["doc_tag"].get(tag)) is not None):
+            a0, a1, a2, a3 = tup
+            if (a0.__class__ is a1.__class__ is a2.__class__ is a3.__class__ is float
+                    and isfinite(a0 + a1 + a2 + a3)):
+                return b.tag, (a0, a1, a2, a3)
     if not isinstance(doc, dict):
         raise DocumentError(f"expected an object, got {type(doc).__name__}")
     if not _OFN_KEYS.issuperset(doc):
-        raise DocumentError(f"unexpected keys {sorted(set(doc) - _OFN_KEYS)}")
+        raise DocumentError(f"unexpected keys {sorted(set(doc) - _OFN_KEYS, key=str)}")
     tag = doc.get("base")
     if (b := base_named("doc_tag", tag)) is None:
         raise DocumentError(f"unknown base tag {tag!r}")
     tup = doc.get("tuple")
     try:
         if isinstance(tup, list) and len(tup) == 4:
-            return b.tag, EssentialTuple(*tup)
+            return b.tag, tuple(EssentialTuple(*tup))
     except DomainError:
         pass
     raise DocumentError("tuple must be a list of 4 finite numbers")
 
 
 def ofn_from_doc(doc: Any) -> TypedOfn:
-    return _typed_on(*_checked_weight(doc))
+    return _weight(*_checked_weight(doc))
 
 
 def _load_json(path: str) -> Any:
@@ -80,11 +94,12 @@ def graph_from_doc(doc: Any) -> FuzzyDigraph:
         if not (isinstance(e, dict) and "from" in e and "to" in e and "weight" in e):
             raise DocumentError('each edge needs "from", "to" and "weight"')
         u, v = e["from"], e["to"]
-        if isinstance(u, bool) or isinstance(v, bool) \
-                or not isinstance(u, int) or not isinstance(v, int):
+        if (u.__class__ is not int or v.__class__ is not int) and (
+                isinstance(u, bool) or isinstance(v, bool)
+                or not isinstance(u, int) or not isinstance(v, int)):
             raise DocumentError("edge endpoints must be integers")
         tag, coeffs = _checked_weight(e["weight"])
-        records.append((u, v, tag, tuple(coeffs)))
+        records.append((u, v, tag, coeffs))
     return _digraph(doc["nodes"], records)
 
 

@@ -224,7 +224,7 @@ def reference_ofn_from_doc(doc: Any) -> TypedOfn:
         raise DocumentError(f"expected an object, got {type(doc).__name__}")
     extra = set(doc) - {"base", "tuple"}
     if extra:
-        raise DocumentError(f"unexpected keys {sorted(extra)}")
+        raise DocumentError(f"unexpected keys {sorted(extra, key=str)}")
     tag = doc.get("base")
     if (b := base_named("doc_tag", tag)) is None:
         raise DocumentError(f"unknown base tag {tag!r}")

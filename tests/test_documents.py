@@ -6,10 +6,11 @@ from enum import IntEnum
 
 import pytest
 
-from ofnring import (BaseFunction, DocumentError, ParseError, crisp,
+from ofnring import (BaseFunction, DocumentError, FuzzyDigraph, ParseError, crisp,
                      parse_expression, register_base)
 from ofnring.documents import MAX_NODES, graph_from_doc, ofn_from_doc
 from ofnring.expr import MAX_DEPTH
+from ofnring.ring import EssentialTuple
 
 from helpers import reference_graph_from_doc, reference_ofn_from_doc, unregister
 
@@ -211,3 +212,118 @@ def test_no_tag_lookup_outlives_a_load(cube_doc_tag):
     for load in (graph_from_doc, lambda d: ofn_from_doc(d["edges"][0]["weight"])):
         with pytest.raises(DocumentError, match=f"^unknown base tag '{CUBE_DOC}'$"):
             load(doc)
+
+
+def test_mixed_type_keys_are_a_document_error():
+    for load in (ofn_from_doc, reference_ofn_from_doc):
+        with pytest.raises(DocumentError, match=r"^unexpected keys \[1, 'x'\]$"):
+            load({1: 0, "x": 0})
+        with pytest.raises(DocumentError, match=r"^unexpected keys \[2, 'extra'\]$"):
+            load({"base": "identity", "tuple": [1.0, 0.0, -1.0, 2.0], 2: 0, "extra": 0})
+
+
+# ---------------------------------------------------------------------------
+# the common weight document, decided at once, against its near misses
+# ---------------------------------------------------------------------------
+
+class Real(float):
+    """A float subclass: equal to a float, but not a float by class."""
+
+
+class Doc(dict):
+    pass
+
+
+class Numbers(list):
+    pass
+
+
+GOOD = [1.0, 0.5, -1.0, 2.0]
+
+
+def _near_misses():
+    """Weights just off the common case, each named by how it misses."""
+    out = {}
+    for i in range(4):
+        for name, entry in (("int", 2), ("bool", True), ("huge-int", 10 ** 400),
+                            ("float-subclass", Real(2.0)), ("nan", math.nan),
+                            ("inf", math.inf), ("-inf", -math.inf), ("-0.0", -0.0)):
+            tup = list(GOOD)
+            tup[i] = entry
+            out[f"{name}@{i}"] = {"base": "identity", "tuple": tup}
+    out.update({
+        "plain": {"base": "identity", "tuple": list(GOOD)},
+        "all-int": {"base": "identity", "tuple": [1, 0, -1, 2]},
+        "sum-overflows": {"base": "identity", "tuple": [1e308, 1e308, 0.0, 0.0]},
+        "dict-subclass": Doc(base="identity", tuple=list(GOOD)),
+        "list-subclass": {"base": "identity", "tuple": Numbers(GOOD)},
+        "tuple-not-list": {"base": "identity", "tuple": tuple(GOOD)},
+        "str-not-list": {"base": "identity", "tuple": "1234"},
+        "str-subclass-tag": {"base": Tag("identity"), "tuple": list(GOOD)},
+        "unhashable-tag": {"base": ["identity"], "tuple": list(GOOD)},
+        "unknown-tag": {"base": "nope", "tuple": list(GOOD)},
+        "none-tag-value": {"base": None, "tuple": list(GOOD)},
+        "only-base": {"base": "identity"},
+        "only-tuple": {"tuple": list(GOOD)},
+        "two-keys-one-wrong": {"base": "identity", "tuples": list(GOOD)},
+        "three-keys": {"base": "identity", "tuple": list(GOOD), "extra": 1},
+        "three-numbers": {"base": "identity", "tuple": GOOD[:3]},
+        "five-numbers": {"base": "identity", "tuple": GOOD + [3.0]},
+        "none": None,
+        "two-item-list": [1.0, 2.0],
+        "two-char-str": "ab",
+    })
+    return out
+
+
+def _exact(load, doc):
+    """What load(doc) gives, with each coefficient as its class and float.hex."""
+    try:
+        got = load(doc)
+    except Exception as e:
+        return type(e), str(e)
+    if isinstance(got, FuzzyDigraph):
+        return got.base, [(u.__class__, u, v.__class__, v, w.base, _hexes(w))
+                          for u, v, w in got.edges]
+    return got.base, _hexes(got)
+
+
+def _hexes(x):
+    return [(c.__class__, float.hex(float(c))) for c in x.coeffs]
+
+
+def test_near_misses_of_the_common_weight_load_as_the_reference_does():
+    cases = _near_misses()
+    loaded = set()
+    for name, w in cases.items():
+        got = _exact(ofn_from_doc, w)
+        assert got == _exact(reference_ofn_from_doc, w), name
+        if isinstance(got[1], list):
+            loaded.add(name)
+        for u, v in ((0, 1), (True, 1), (0, False), (Slot.ONE, 0), (1, Slot.TWO)):
+            doc = {"nodes": 3, "edges": [{"from": 0, "to": 2, "weight": cases["plain"]},
+                                         {"from": u, "to": v, "weight": w}]}
+            assert _exact(graph_from_doc, doc) == _exact(reference_graph_from_doc, doc), \
+                (name, u, v)
+    assert {"plain", "all-int", "sum-overflows", "dict-subclass", "list-subclass",
+            "str-subclass-tag", "-0.0@0", "int@3", "float-subclass@2"} <= loaded
+    assert not loaded & {"nan@1", "inf@0", "bool@2", "huge-int@3", "three-keys",
+                         "tuple-not-list", "unknown-tag", "five-numbers"}
+
+
+def test_graph_records_are_plain_tuples_of_floats():
+    weights = [{"base": "identity", "tuple": [-0.0, 0.5, -1.0, 2.0]},
+               {"base": "identity", "tuple": [1, 0, -1, 2]},
+               Doc(base="identity", tuple=[Real(1.0), 0.0, -1.0, 2.0])]
+    g = graph_from_doc({"nodes": 2, "edges": [{"from": 0, "to": 1, "weight": w}
+                                              for w in weights]})
+    for (_, _, tag, coeffs), w in zip(g._records, weights):
+        assert tag == "identity"
+        assert coeffs.__class__ is tuple and len(coeffs) == 4
+        assert all(c.__class__ is float for c in coeffs)
+        assert coeffs == tuple(ofn_from_doc(w).coeffs)
+    assert math.copysign(1.0, g._records[0][3][0]) == -1.0
+    x = ofn_from_doc(weights[0])
+    assert x.coeffs.__class__ is EssentialTuple
+    assert x.coeffs.up_slope == 0.0 and math.copysign(1.0, x.coeffs.up_slope) == -1.0
+    assert x.coeffs.as_tuple() == (-0.0, 0.5, -1.0, 2.0)
