@@ -11,12 +11,15 @@ The registry is closed at import time with the four shipped bases; additional
 bases can be registered explicitly and are validated by a monotonicity sweep.
 It keeps one map per name field (tag, doc_tag, literal), so finding a base
 by any of its names is one dict lookup.
+
+This module also holds _Value, the frozen base of every record class in the
+package, because every other module imports this one.
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
 from .errors import DomainError, RangeError, UnknownBaseError
@@ -32,24 +35,78 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _TYPELESS_ARITY = {"rect": 2, "crisp": 1}
 
 
-@dataclass(frozen=True)
-class BaseFunction:
-    """A generator h with its inverse and the constants derived from it."""
+class _Value:
+    """A frozen value whose fields are its __slots__, or `_fields` where they differ.
 
-    tag: str
-    func: Callable[[float], float]
-    inverse_func: Callable[[float], float]
-    increasing: bool
-    limit_at_zero: float
-    value_at_one: float
-    integral: float
-    doc_tag: str | None = None      # defaults to tag
-    symbol: str | None = None       # defaults to "<tag>(x)"
-    literal: str | None = None      # None: no expression literal
+    Fields are read-only.  Two values are equal when they are of the same
+    class and their fields are equal, and equal values hash alike; the repr is
+    Name(field=value, ...), and pickling and copying call the class with the
+    fields in order.  __init__ sets the slots in order, from arguments given
+    by position or by slot name; a class that checks its arguments writes its
+    own.  `_setters` holds one setter per slot, for code that fills a value
+    without calling __init__.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "doc_tag", self.doc_tag or self.tag)
-        object.__setattr__(self, "symbol", self.symbol or f"{self.tag}(x)")
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        if not vars(cls).get("__slots__"):  # a subclass that adds no slot keeps its parent's
+            return
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+        cls._fields = vars(cls).get("_fields", cls.__slots__)
+        cls._field_values = attrgetter(*cls._fields)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        setters = self._setters
+        if kwargs:
+            try:
+                args += tuple(map(kwargs.pop, self.__slots__[len(args):]))
+            except KeyError as e:
+                raise TypeError(f"{type(self).__name__}() missing argument {e}") from None
+        if kwargs or len(args) != len(setters):
+            raise TypeError(f"{type(self).__name__}() takes the arguments {self.__slots__}")
+        for set_slot, value in zip(setters, args):
+            set_slot(self, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._field_values(self) == self._field_values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._field_values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return (type(self), self._field_values(self))
+
+
+class BaseFunction(_Value):
+    """A generator h with its inverse and the constants derived from it.
+
+    doc_tag defaults to the tag and symbol to "<tag>(x)"; a base whose
+    literal is None has no expression literal.
+    """
+
+    __slots__ = ("tag", "func", "inverse_func", "increasing", "limit_at_zero",
+                 "value_at_one", "integral", "doc_tag", "symbol", "literal")
+
+    def __init__(self, tag: str, func: Callable[[float], float],
+                 inverse_func: Callable[[float], float], increasing: bool,
+                 limit_at_zero: float, value_at_one: float, integral: float,
+                 doc_tag: str | None = None, symbol: str | None = None,
+                 literal: str | None = None) -> None:
+        _Value.__init__(self, tag, func, inverse_func, increasing, limit_at_zero,
+                        value_at_one, integral, doc_tag or tag, symbol or f"{tag}(x)", literal)
 
     def value(self, alpha: float) -> float:
         """h(alpha); the alpha=0 endpoint returns the limit, which may be infinite."""

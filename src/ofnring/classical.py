@@ -13,8 +13,7 @@ loads numpy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .bases import _Value
 from .errors import DomainError, ImproperError, MixedTypeError
 from .ring import Interval, TypedOfn, _number, level_set
 from .propriety import classify
@@ -22,21 +21,18 @@ from .propriety import classify
 _CORNERS = ("corner support_lo", "corner core_lo", "corner core_hi", "corner support_hi")
 
 
-@dataclass(frozen=True)
-class LRFuzzyNumber:
+class LRFuzzyNumber(_Value):
     """Corners support_lo <= core_lo <= core_hi <= support_hi; the flanks are straight."""
 
-    support_lo: float
-    core_lo: float
-    core_hi: float
-    support_hi: float
+    __slots__ = ("support_lo", "core_lo", "core_hi", "support_hi")
 
-    def __post_init__(self):
-        c = self.corners()
-        for v, name in zip(c, _CORNERS):
-            _number(v, name)
+    def __init__(self, support_lo: float, core_lo: float,
+                 core_hi: float, support_hi: float) -> None:
+        c = [_number(v, name) for v, name in
+             zip((support_lo, core_lo, core_hi, support_hi), _CORNERS)]
         if not (c[0] <= c[1] <= c[2] <= c[3]):
-            raise DomainError(f"corners must be ordered, got {c}")
+            raise DomainError(f"corners must be ordered, got {tuple(c)}")
+        _Value.__init__(self, *c)
 
     @property
     def left_spread(self) -> float:

@@ -9,7 +9,6 @@ types, 4 math (division by zero, overflow, improper inputs, wrong pathology),
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import Sequence
@@ -20,7 +19,6 @@ from .expr import parse_expression
 from .pathalgebra import shortest_paths
 from .propriety import classify, correct
 from .ring import TypedOfn, sampled_sides
-from .svgplot import render_ofn_svg
 
 EXIT_OK = 0
 EXIT_IO = 5
@@ -35,8 +33,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    x = load_ofn(args.infile)
-    print(json.dumps(dataclasses.asdict(classify(x))))
+    report = classify(load_ofn(args.infile))
+    print(json.dumps({name: getattr(report, name) for name in report._fields}))
     return EXIT_OK
 
 
@@ -69,6 +67,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
+    from .svgplot import render_ofn_svg  # only plot draws
     x = load_ofn(args.infile)
     svg = render_ofn_svg(x)
     with open(args.out, "w", encoding="utf-8") as fh:

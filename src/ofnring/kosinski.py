@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import partial
 from itertools import zip_longest
 
-from .bases import IDENTITY
+from .bases import IDENTITY, _Value
 from .errors import DegreeCapError, DomainError, MixedTypeError
 from .ring import OPERATORS, TypedOfn, _number
 
@@ -70,8 +69,7 @@ def _poly_degree(p: tuple[float, ...]) -> int:
     return len(_poly_trim(p)) - 1
 
 
-@dataclass(frozen=True)
-class PiecewisePoly:
+class PiecewisePoly(_Value):
     """A continuous piecewise polynomial on [0, 1].
 
     `breaks` is the strictly increasing knot vector from 0 to 1; piece k uses
@@ -79,11 +77,12 @@ class PiecewisePoly:
     [breaks[k], breaks[k+1]].
     """
 
-    breaks: tuple[float, ...]
-    coeffs: tuple[tuple[float, ...], ...]
+    __slots__ = ("breaks", "coeffs")
 
-    def __post_init__(self):
-        br, cs = self.breaks, self.coeffs
+    def __init__(self, breaks: tuple[float, ...], coeffs: tuple[tuple[float, ...], ...]) -> None:
+        _set_breaks(self, breaks)  # the oracles build many: set the slots directly
+        _set_coeffs(self, coeffs)  # before the checks, as _coeff_scale reads them
+        br, cs = breaks, coeffs
         if len(br) < 2 or len(cs) != len(br) - 1:
             raise DomainError("breaks and pieces do not line up")
         if br[0] != 0.0 or br[-1] != 1.0:
@@ -125,6 +124,9 @@ class PiecewisePoly:
         return max(_poly_degree(p) for p in self.coeffs)
 
 
+_set_breaks, _set_coeffs = PiecewisePoly._setters
+
+
 def _merge_breaks(x: PiecewisePoly, y: PiecewisePoly) -> tuple[float, ...]:
     merged: list[float] = []
     for v in sorted(set(x.breaks) | set(y.breaks)):
@@ -135,12 +137,10 @@ def _merge_breaks(x: PiecewisePoly, y: PiecewisePoly) -> tuple[float, ...]:
     return tuple(merged)
 
 
-@dataclass(frozen=True)
-class PiecewisePolyOfn:
-    """An ordered fuzzy number given directly by its two side functions."""
+class PiecewisePolyOfn(_Value):
+    """An ordered fuzzy number given directly by its two side functions up and down."""
 
-    up: PiecewisePoly
-    down: PiecewisePoly
+    __slots__ = ("up", "down")
 
     @classmethod
     def from_typed(cls, x: TypedOfn) -> "PiecewisePolyOfn":
@@ -260,10 +260,10 @@ def _direction(pp: PiecewisePoly) -> str:
     return "const"
 
 
-@dataclass(frozen=True)
-class FunctionProprietyReport:
-    proper: bool
-    violation: str | None
+class FunctionProprietyReport(_Value):
+    """k_is_proper's verdict: proper (bool) and the first violated condition, or None."""
+
+    __slots__ = ("proper", "violation")
 
 
 def k_is_proper(x: PiecewisePolyOfn) -> FunctionProprietyReport:

@@ -23,11 +23,10 @@ the records on first read.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from math import inf
 from typing import Any, Iterable, Iterator
 
-from .bases import get_base
+from .bases import _Value, get_base
 from .errors import DomainError, NegativeCycle
 from .ring import EssentialTuple, TypedOfn, _result, _result_base, _typed_on
 
@@ -63,7 +62,7 @@ def _weight(tag: str, coeffs: tuple[float, float, float, float]) -> TypedOfn:
     return _typed_on(tag, tuple.__new__(EssentialTuple, coeffs))
 
 
-class FuzzyDigraph:
+class FuzzyDigraph(_Value):
     """A digraph whose edges carry typed-OFN weights on one common base.
 
     FuzzyDigraph(nodes, edges) takes (u, v, TypedOfn) triples; a node number
@@ -72,52 +71,27 @@ class FuzzyDigraph:
     """
 
     __slots__ = ("nodes", "base", "_records", "_edges")
+    _fields = ("nodes", "edges", "base")
 
-    def __new__(cls, nodes: int, edges: Iterable[tuple[int, int, TypedOfn]]) -> "FuzzyDigraph":
+    def __init__(self, nodes: int, edges: Iterable[tuple[int, int, TypedOfn]]) -> None:
         if not _is_index(nodes):
             raise DomainError(f"the node count {nodes!r} is not an integer")
         try:
             edges = tuple(edges)
         except TypeError:
             raise DomainError(f"edges must be (u, v, weight) triples, got {edges!r}") from None
-        return _digraph(nodes, _checked_records(nodes, edges), edges)
+        _digraph(nodes, _checked_records(nodes, edges), edges, self)
 
     @property
     def edges(self) -> tuple[tuple[int, int, TypedOfn], ...]:
         """The (u, v, TypedOfn) triples, built from the records on first read."""
         if self._edges is None:
-            _set_edges(self, tuple((u, v, _weight(tag, c)) for u, v, tag, c in self._records))
+            object.__setattr__(self, "_edges", tuple(
+                (u, v, _weight(tag, c)) for u, v, tag, c in self._records))
         return self._edges
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fields(self) -> tuple[int, tuple[tuple[int, int, TypedOfn], ...], str]:
-        return self.nodes, self.edges, self.base
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return f"FuzzyDigraph(nodes={self.nodes!r}, edges={self.edges!r}, base={self.base!r})"
 
     def __reduce__(self):
         return (FuzzyDigraph, (self.nodes, self.edges))
-
-
-# the slots, written past FuzzyDigraph.__setattr__ by _digraph and edges
-_set_nodes = FuzzyDigraph.nodes.__set__
-_set_base = FuzzyDigraph.base.__set__
-_set_records = FuzzyDigraph._records.__set__
-_set_edges = FuzzyDigraph._edges.__set__
 
 
 def _checked_records(nodes: int, edges: tuple[Any, ...]) -> Iterator[Record]:
@@ -143,12 +117,14 @@ def _checked_records(nodes: int, edges: tuple[Any, ...]) -> Iterator[Record]:
 
 
 def _digraph(nodes: int, records: Iterable[Record],
-             edges: tuple[tuple[int, int, TypedOfn], ...] | None = None) -> FuzzyDigraph:
+             edges: tuple[tuple[int, int, TypedOfn], ...] | None = None,
+             g: FuzzyDigraph | None = None) -> FuzzyDigraph:
     """The graph of records whose endpoints are ints and whose weights are checked.
 
     Checks the node count, then each record's node range and base in order;
     the first weight with a slope fixes the base.  `edges`, when given, are
-    the triples the records came from.
+    the triples the records came from.  The slots are written into `g` when
+    it is given, and into a new graph otherwise.
     """
     if nodes < 1:
         raise DomainError("a digraph needs at least one node")
@@ -164,21 +140,20 @@ def _digraph(nodes: int, records: Iterable[Record],
             elif tag != first[2]:
                 _result_base(_weight(*first[2:]), _weight(tag, r[3]))  # MixedTypeError
         kept.append(r)
-    g = object.__new__(FuzzyDigraph)
-    _set_nodes(g, nodes)
-    _set_base(g, first[2] if first else "identity")
-    _set_records(g, tuple(kept))
-    _set_edges(g, edges)
+    if g is None:
+        g = object.__new__(FuzzyDigraph)
+    _Value.__init__(g, nodes, first[2] if first else "identity", tuple(kept), edges)
     return g
 
 
-@dataclass(frozen=True)
-class ShortestPathResult:
-    source: int
-    distances: tuple[TypedOfn | None, ...]
-    predecessors: tuple[int | None, ...]
-    scans: int        # nodes taken off the queue
-    relaxations: int  # edges examined, one path sum each
+class ShortestPathResult(_Value):
+    """Distances and predecessors from `source`, and the work that found them.
+
+    scans counts the nodes taken off the queue, and relaxations the edges
+    examined, one path sum each.
+    """
+
+    __slots__ = ("source", "distances", "predecessors", "scans", "relaxations")
 
 
 def shortest_paths(g: FuzzyDigraph, source: int) -> ShortestPathResult:

@@ -19,9 +19,7 @@ checker to decide exactly that.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .bases import IDENTITY
+from .bases import IDENTITY, _Value
 from .errors import DivisionByZero, DomainError, MixedTypeError
 from .kosinski import (PiecewisePoly, PiecewisePolyOfn, combine_sides,
                        k_is_proper)
@@ -31,14 +29,10 @@ CONSTANT = "constant"
 PRODUCT_FORM = "product-form"
 
 
-@dataclass(frozen=True)
-class TrapezoidCorners:
+class TrapezoidCorners(_Value):
     """Support and core corners (a, b, c, d) = (up(0), up(1), down(1), down(0))."""
 
-    a: float
-    b: float
-    c: float
-    d: float
+    __slots__ = ("a", "b", "c", "d")
 
     @classmethod
     def from_ofn(cls, x: TypedOfn) -> "TrapezoidCorners":
@@ -53,13 +47,11 @@ class TrapezoidCorners:
         return (self.a, self.b, self.c, self.d)
 
 
-@dataclass(frozen=True)
-class PiaseckiResult:
-    corners: TrapezoidCorners
-    up_rule: str
-    down_rule: str
-    up_fn: PiecewisePoly
-    down_fn: PiecewisePoly
+class PiaseckiResult(_Value):
+    """p_op's result: the corners, the rule that made each side (CONSTANT or
+    PRODUCT_FORM), and the side functions up_fn and down_fn."""
+
+    __slots__ = ("corners", "up_rule", "down_rule", "up_fn", "down_fn")
 
     def as_ofn(self) -> PiecewisePolyOfn:
         return PiecewisePolyOfn(self.up_fn, self.down_fn)

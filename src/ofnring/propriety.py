@@ -19,11 +19,10 @@ of the original number is used instead and labelled "fallback".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .bases import BaseFunction, get_base
+from .bases import BaseFunction, _Value, get_base
 from .errors import DegenerateError, ImproperError, WrongPathology
-from .ring import (Interval, Orientation, Side, TypedOfn, _gap, _orientation,
+from .ring import (Interval, Side, TypedOfn, _gap, _orientation,
                    _result, _up_is_low, side_eval)
 
 PATHOLOGY_NONE = "none"
@@ -32,13 +31,11 @@ PATHOLOGY_III = "type-iii"
 PATHOLOGY_COMBINED = "combined"
 
 
-@dataclass(frozen=True)
-class ProprietyReport:
-    proper: bool
-    orientation: Orientation
-    same_sign: bool
-    crossing: bool
-    pathology: str
+class ProprietyReport(_Value):
+    """classify's verdict: proper (bool), orientation, same_sign (bool),
+    crossing (bool) and pathology, one of the PATHOLOGY_* names."""
+
+    __slots__ = ("proper", "orientation", "same_sign", "crossing", "pathology")
 
 
 def _direction(b: BaseFunction, slope: float) -> int:
@@ -74,13 +71,8 @@ def classify(x: TypedOfn) -> ProprietyReport:
             crossing = max(g0, g1) > 0.0
         pathology = PATHOLOGY_III if crossing else PATHOLOGY_NONE
 
-    return ProprietyReport(
-        proper=pathology == PATHOLOGY_NONE,
-        orientation=_orientation(identical, g0, g1),
-        same_sign=same_sign,
-        crossing=crossing,
-        pathology=pathology,
-    )
+    return ProprietyReport(pathology == PATHOLOGY_NONE, _orientation(identical, g0, g1),
+                           same_sign, crossing, pathology)
 
 
 # ---------------------------------------------------------------------------
@@ -156,29 +148,26 @@ def correct(x: TypedOfn) -> tuple[TypedOfn, str]:
 # membership functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MembershipBranch:
+class MembershipBranch(_Value):
     """One invertible flank: alpha = h_inverse((v - offset) / slope) on [lo, hi]."""
 
-    side: Side
-    lo: float
-    hi: float
+    __slots__ = ("side", "lo", "hi")
 
-    def __post_init__(self):
-        if self.side.slope == 0.0:  # invert() divides by the slope
+    def __init__(self, side: Side, lo: float, hi: float) -> None:
+        if side.slope == 0.0:  # invert() divides by the slope
             raise DegenerateError("a constant side cannot be inverted")
+        _Value.__init__(self, side, lo, hi)
 
     def invert(self, v: float) -> float:
         b = get_base(self.side.base)
         return b.inverse((v - self.side.offset) / self.side.slope)
 
 
-@dataclass(frozen=True)
-class MembershipFunction:
-    lower: MembershipBranch | None
-    upper: MembershipBranch | None
-    core: Interval
-    support: Interval
+class MembershipFunction(_Value):
+    """The core and support intervals, and the branch of each flank that is
+    not constant (None for a constant one)."""
+
+    __slots__ = ("lower", "upper", "core", "support")
 
 
 def membership_from_sides(up: Side, down: Side) -> MembershipFunction:
@@ -208,7 +197,7 @@ def membership_from_sides(up: Side, down: Side) -> MembershipFunction:
     upper = None
     if high.slope != 0.0:
         upper = MembershipBranch(high, core.hi, high_limits[0])
-    return MembershipFunction(lower=lower, upper=upper, core=core, support=supp)
+    return MembershipFunction(lower, upper, core, supp)
 
 
 def membership(x: TypedOfn) -> MembershipFunction:

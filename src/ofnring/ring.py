@@ -23,25 +23,26 @@ coefficients when a difference would overflow.
 
 One number rule checks each coefficient a caller passes in: an int or a float,
 not a bool, whose float value is finite, so an int beyond the float range is
-refused.  EssentialTuple(...), Side(...) and scalar_mul() apply it,
-TypedOfn(...) requires a registered base tag, and typed() and its shorthands do
-both; the expression parser builds through typed().  The document loader
-resolves the tag to its registry record itself, checks the numbers through
-EssentialTuple(...), and joins the two with _typed_on, which looks nothing up
-again.  Ring results skip the checks: _result builds a number from components
-computed out of checked operands, so it tests them only for overflow
-(ArithmeticOverflow) and uses the operands' base tag as it is.  The sides of a
-number (up_side, down_side) are built the same way, unchecked.
+refused, and the float is what is kept.  EssentialTuple(...), Side(...) and
+scalar_mul() apply it, TypedOfn(...) requires a registered base tag, and
+typed() and its shorthands do both; the expression parser builds through
+typed().  The document loader resolves the tag to its registry record itself,
+checks the numbers through EssentialTuple(...), and joins the two with
+_typed_on, which looks nothing up again.  Ring results skip the checks:
+_result builds a number from components computed out of checked operands, so
+it tests them only for overflow (ArithmeticOverflow) and uses the operands'
+base tag as it is.  The sides of a number (up_side, down_side) are built
+unchecked too, by _side.  These three write the slots of a new value directly
+through the class's slot setters, which is cheaper than its __init__.
 """
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from math import isfinite
 from typing import Callable, Literal
 
-from .bases import IDENTITY, BaseFunction, get_base
+from .bases import IDENTITY, BaseFunction, _Value, get_base
 from .errors import ArithmeticOverflow, DivisionByZero, DomainError, MixedTypeError
 
 SideName = Literal["up", "down"]
@@ -103,20 +104,20 @@ class EssentialTuple(tuple):
         return tuple(self)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(_Value):
     """A closed interval; endpoints may be infinite."""
 
-    lo: float
-    hi: float
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
+    def __init__(self, lo: float, hi: float) -> None:
         try:
-            bad = math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi
+            bad = math.isnan(lo) or math.isnan(hi) or lo > hi
         except (OverflowError, TypeError):  # an int beyond the float range, or no number
             bad = True
         if bad:
-            raise DomainError(f"bad interval [{self.lo}, {self.hi}]")
+            raise DomainError(f"bad interval [{lo}, {hi}]")
+        _set_lo(self, lo)
+        _set_hi(self, hi)
 
     def contains_value(self, v: float) -> bool:
         return self.lo <= v <= self.hi
@@ -126,8 +127,10 @@ class Interval:
         return self.lo <= other.lo and other.hi <= self.hi
 
 
-@dataclass(frozen=True)
-class Side:
+_set_lo, _set_hi = Interval._setters
+
+
+class Side(_Value):
     """One affine-in-h side, carrying its own base tag.
 
     TypedOfn keeps both sides on a single base; Side exists so that level-set
@@ -135,14 +138,11 @@ class Side:
     such as (sqrt(alpha), 2 - alpha).
     """
 
-    base: str
-    slope: float
-    offset: float
+    __slots__ = ("base", "slope", "offset")
 
-    def __post_init__(self):
-        get_base(self.base)
-        _number(self.slope, "side slope")
-        _number(self.offset, "side offset")
+    def __init__(self, base: str, slope: float, offset: float) -> None:
+        get_base(base)
+        _Value.__init__(self, base, _number(slope, "side slope"), _number(offset, "side offset"))
 
     def value(self, alpha: float) -> float:
         return _affine(get_base(self.base), self.slope, self.offset, alpha)
@@ -154,10 +154,15 @@ class Side:
                 self.slope * b.value_at_one + self.offset)
 
 
+_set_side_base, _set_slope, _set_offset = Side._setters
+
+
 def _side(base: str, slope: float, offset: float) -> Side:
     """A Side of a number, whose base tag and coefficients are already checked."""
     s = object.__new__(Side)
-    s.__dict__.update(base=base, slope=slope, offset=offset)
+    _set_side_base(s, base)
+    _set_slope(s, slope)
+    _set_offset(s, offset)
     return s
 
 
@@ -166,7 +171,7 @@ def _affine(b: BaseFunction, slope: float, offset: float, alpha: float) -> float
     return offset if slope == 0.0 else slope * h + offset
 
 
-class TypedOfn:
+class TypedOfn(_Value):
     """A typed ordered fuzzy number: base tag plus essential tuple; immutable."""
 
     __slots__ = ("base", "coeffs")
@@ -175,26 +180,6 @@ class TypedOfn:
         get_base(base)
         _set_base(self, base)
         _set_coeffs(self, coeffs)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.base == other.base and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"TypedOfn(base={self.base!r}, coeffs={self.coeffs!r})"
-
-    def __reduce__(self):
-        return (TypedOfn, (self.base, self.coeffs))
 
     @property
     def is_rectangular(self) -> bool:
@@ -222,9 +207,7 @@ class TypedOfn:
         return neg(self)
 
 
-# the slots, written past TypedOfn.__setattr__ by __init__, _typed_on and _result
-_set_base = TypedOfn.base.__set__
-_set_coeffs = TypedOfn.coeffs.__set__
+_set_base, _set_coeffs = TypedOfn._setters
 
 
 def _typed_on(tag: str, coeffs: EssentialTuple) -> TypedOfn:

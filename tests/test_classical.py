@@ -24,6 +24,8 @@ def test_corners_follow_the_number_rule():
     for corners in ((0, 1, 2, 10**400), (-10**400, 1, 2, 3), (0.0, True, 2.0, 3.0)):
         with pytest.raises(DomainError):
             LRFuzzyNumber(*corners)
+    assert repr(LRFuzzyNumber(0, 1, 2, 3)) == (  # the floats the rule returns are kept
+        "LRFuzzyNumber(support_lo=0.0, core_lo=1.0, core_hi=2.0, support_hi=3.0)")
 
 
 def test_membership_five_cases():

@@ -99,10 +99,10 @@ def test_every_error_class_ends_in_its_exit_code(monkeypatch, capsys):
 def test_classify_reports_pathology(tmp_path, capsys):
     path = write_doc(tmp_path, "x.json", TYPE_II_DOC)
     assert main(["classify", "--in", path]) == 0
-    rep = json.loads(capsys.readouterr().out)
-    assert rep == {"proper": False, "orientation": "decreasing",
-                   "same_sign": True, "crossing": False,
-                   "pathology": "type-ii"}
+    # the exact line, so the order of the report's fields is pinned too
+    assert capsys.readouterr().out == (
+        '{"proper": false, "orientation": "decreasing", "same_sign": true, '
+        '"crossing": false, "pathology": "type-ii"}\n')
 
 
 def test_classify_proper_document(tmp_path, capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, ArithmeticOverflow,
                      DivisionByZero, DomainError, EssentialTuple, Interval, MixedTypeError,
                      Side, TypedOfn, UnknownBaseError, add, crisp, div, level_set,
-                     level_set_of_sides, mul, neg, one, orientation,
+                     level_set_of_sides, membership_from_sides, mul, neg, one, orientation,
                      rectangular, scalar_mul, side_eval, sub, trapezoid,
                      typed, zero)
 from ofnring.ring import OPERATORS, sampled_sides
@@ -371,6 +371,12 @@ def test_side_coefficients_follow_the_number_rule():
             Side(IDENTITY, bad, 0.0)
         with pytest.raises(DomainError, match="side offset must be finite"):
             Side(IDENTITY, 1.0, bad)
+    # a side keeps the floats the rule returns, and so does what is built from it
+    s = Side(IDENTITY, 0, 5)
+    assert repr(s) == "Side(base='identity', slope=0.0, offset=5.0)"
+    assert repr(s.value(0.5)) == "5.0"
+    support = membership_from_sides(Side(IDENTITY, 1, 0), s).support
+    assert repr(support) == "Interval(lo=0.0, hi=5.0)"
 
 
 def test_mixed_side_level_sets():
