@@ -80,9 +80,11 @@ class PiecewisePoly(_Value):
     __slots__ = ("breaks", "coeffs")
 
     def __init__(self, breaks: tuple[float, ...], coeffs: tuple[tuple[float, ...], ...]) -> None:
-        _set_breaks(self, breaks)  # the oracles build many: set the slots directly
-        _set_coeffs(self, coeffs)  # before the checks, as _coeff_scale reads them
         br, cs = breaks, coeffs
+        for b in br:
+            if b.__class__ is not float:  # floats pass inline: the tiling checks bound them
+                br = tuple(_number(b, "breakpoint") for b in breaks)
+                break
         if len(br) < 2 or len(cs) != len(br) - 1:
             raise DomainError("breaks and pieces do not line up")
         if br[0] != 0.0 or br[-1] != 1.0:
@@ -90,12 +92,18 @@ class PiecewisePoly(_Value):
         for a, b in zip(br, br[1:]):
             if not a < b:
                 raise DomainError("breakpoints must be strictly increasing")
+        floats = True
         for p in cs:
             if _poly_degree(p) > MAX_DEGREE:
                 raise DegreeCapError(f"piece degree exceeds {MAX_DEGREE}")
             for c in p:
                 if c.__class__ is not float or not math.isfinite(c):  # floats pass inline
                     _number(c, "piece coefficient")
+                    floats = False
+        if not floats:  # every coefficient passed the rule: keep the floats it returns
+            cs = tuple(tuple(map(float, p)) for p in cs)
+        _set_breaks(self, br)  # the oracles build many: set the slots directly,
+        _set_coeffs(self, cs)  # before the continuity check, as _coeff_scale reads them
         scale = _coeff_scale(self)
         for k in range(1, len(br) - 1):
             left = _poly_eval(cs[k - 1], br[k])

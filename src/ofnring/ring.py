@@ -26,12 +26,13 @@ not a bool, whose float value is finite, so an int beyond the float range is
 refused, and the float is what is kept.  EssentialTuple(...), Side(...) and
 scalar_mul() apply it, TypedOfn(...) requires a registered base tag, and
 typed() and its shorthands do both; the expression parser builds through
-typed().  The document loader resolves the tag to its registry record itself,
-checks the numbers through EssentialTuple(...), and joins the two with
-_typed_on, which looks nothing up again.  Ring results skip the checks:
-_result builds a number from components computed out of checked operands, so
-it tests them only for overflow (ArithmeticOverflow) and uses the operands'
-base tag as it is.  The sides of a number (up_side, down_side) are built
+typed().  Interval(...) applies the rule but for finiteness, since an end
+may be infinite.  The document loader resolves the tag to its registry
+record itself, checks the numbers through EssentialTuple(...), and joins the
+two with _typed_on, which looks nothing up again.  Ring results skip the
+checks: _result builds a number from components computed out of checked
+operands, so it tests them only for overflow (ArithmeticOverflow) and uses
+the operands' base tag as it is.  The sides of a number (up_side, down_side) are built
 unchecked too, by _side.  These three write the slots of a new value directly
 through the class's slot setters, which is cheaper than its __init__.
 """
@@ -110,12 +111,8 @@ class Interval(_Value):
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: float, hi: float) -> None:
-        try:
-            bad = math.isnan(lo) or math.isnan(hi) or lo > hi
-        except (OverflowError, TypeError):  # an int beyond the float range, or no number
-            bad = True
-        if bad:
-            raise DomainError(f"bad interval [{lo}, {hi}]")
+        if lo.__class__ is not float or hi.__class__ is not float or not lo <= hi:
+            lo, hi = _endpoints(lo, hi)  # floats in order pass inline
         _set_lo(self, lo)
         _set_hi(self, hi)
 
@@ -128,6 +125,23 @@ class Interval(_Value):
 
 
 _set_lo, _set_hi = Interval._setters
+
+
+def _endpoints(lo: object, hi: object) -> tuple[float, float]:
+    """The endpoints as floats if each is an int or float, not a bool, and lo <= hi.
+
+    The number rule without its finiteness test: an endpoint may be infinite,
+    but not NaN, and an int beyond the float range is refused.
+    """
+    if (lo.__class__ is not bool and hi.__class__ is not bool
+            and isinstance(lo, (int, float)) and isinstance(hi, (int, float))):
+        try:
+            flo, fhi = float(lo), float(hi)
+        except OverflowError:  # an int too large for a float
+            flo = fhi = math.nan
+        if flo <= fhi:  # False for NaN
+            return flo, fhi
+    raise DomainError(f"bad interval [{lo}, {hi}]")
 
 
 class Side(_Value):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ofnring import (GAUSSIAN_INVERSE, IDENTITY, LOG, SQRT, DocumentError,
-                     DomainError, FuzzyDigraph, NegativeCycle, ParseError,
+                     DomainError, FuzzyDigraph, LRFuzzyNumber, NegativeCycle, ParseError,
                      ShortestPathResult, TypedOfn, add, classify, rank,
                      rectangular, ring, typed)
 from ofnring.bases import _NAME, _REGISTRY, _TYPELESS_ARITY, base_named, get_base
@@ -395,3 +395,43 @@ def reference_parse_expression(text: str) -> TypedOfn:
     read through expect() and number().
     """
     return _ReferenceParser(text).parse()
+
+
+# ---------------------------------------------------------------------------
+# the full sup-min grid: the test oracle for classical.zadeh_add_grid
+# ---------------------------------------------------------------------------
+
+def reference_zadeh_add_grid(x: LRFuzzyNumber, y: LRFuzzyNumber, grid: int = 2001):
+    """(zs, levels) from every one of the grid x grid sample pairs: the test oracle.
+
+    The grid as it was before it was found by bisection: each output point
+    takes the maximum of min(mu_x(t), mu_y(z - t)) over all `grid` samples t,
+    computed 256 output points at a time.
+    """
+    import numpy as np
+
+    def membership_grid(n: LRFuzzyNumber, xs):
+        out = np.zeros_like(xs, dtype=float)
+        inside = (xs >= n.support_lo) & (xs <= n.support_hi)
+        core = (xs >= n.core_lo) & (xs <= n.core_hi)
+        out[core] = 1.0
+        if n.left_spread > 0.0:
+            left = inside & (xs < n.core_lo)
+            out[left] = (xs[left] - n.support_lo) / n.left_spread
+        if n.right_spread > 0.0:
+            right = inside & (xs > n.core_hi)
+            out[right] = (n.support_hi - xs[right]) / n.right_spread
+        return out
+
+    if grid < 101:
+        raise DomainError(f"grid must be at least 101, got {grid}")
+    ts = np.linspace(x.support_lo, x.support_hi, grid)
+    mu_x = membership_grid(x, ts)
+    zs = np.linspace(x.support_lo + y.support_lo, x.support_hi + y.support_hi, grid)
+    levels = np.empty(grid)
+    chunk = 256
+    for start in range(0, grid, chunk):
+        block = zs[start:start + chunk, None] - ts[None, :]
+        mu_y = membership_grid(y, block.ravel()).reshape(block.shape)
+        levels[start:start + chunk] = np.minimum(mu_x[None, :], mu_y).max(axis=1)
+    return zs, levels

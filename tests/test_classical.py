@@ -1,13 +1,16 @@
 """Classical L-R numbers and the extension-principle oracles."""
 import math
+import random
 
 import numpy as np
 import pytest
 
-from ofnring import (GAUSSIAN_INVERSE, DomainError, ImproperError, Interval,
-                     LRFuzzyNumber, MixedTypeError, from_typed_trapezoid,
+from ofnring import (GAUSSIAN_INVERSE, ArithmeticOverflow, DomainError, ImproperError,
+                     Interval, LRFuzzyNumber, MixedTypeError, from_typed_trapezoid,
                      levelset_add, lr_level_set, lr_membership, rectangular,
                      trapezoid, typed, zadeh_add_grid, zadeh_mul_levelsets)
+
+from helpers import reference_zadeh_add_grid
 
 
 def test_corner_validation():
@@ -79,6 +82,72 @@ def test_grid_floor():
     x = LRFuzzyNumber(0.0, 1.0, 2.0, 3.0)
     with pytest.raises(DomainError):
         zadeh_add_grid(x, x, grid=50)
+
+
+@pytest.mark.parametrize("grid", [2001.0, "2001", True, None, np.int64(2001)])
+def test_grid_must_be_an_int(grid):
+    x = LRFuzzyNumber(0.0, 1.0, 2.0, 3.0)
+    with pytest.raises(DomainError, match="grid must be an int"):
+        zadeh_add_grid(x, x, grid)
+
+
+@pytest.mark.parametrize("x,y", [
+    (LRFuzzyNumber(-1e308, 0.0, 0.0, 1e308),) * 2,  # the span of x
+    (LRFuzzyNumber(0.0, 1.0, 2.0, 1e308), LRFuzzyNumber(0.0, 1.0, 2.0, 1e308)),  # a corner sum
+    (LRFuzzyNumber(0.0, 1.0, 2.0, 3.0), LRFuzzyNumber(-1e308, 0.0, 0.0, 1e308)),  # the span of y
+    (LRFuzzyNumber(-1e308, -1e308, 0.0, 0.0),
+     LRFuzzyNumber(1e308, 1e308, 1e308, 1e308)),  # z - t
+    (LRFuzzyNumber(1e308, 1e308, 1e308, 1.7976931348623157e308),
+     LRFuzzyNumber(0.0, 0.0, 0.0, 0.0)),  # the last step np.linspace forms
+])
+def test_grid_overflow_raises_before_numpy(x, y):
+    # pytest turns numpy's RuntimeWarning into an error, so a warning fails here
+    with pytest.raises(ArithmeticOverflow):
+        zadeh_add_grid(x, y, 101)
+
+
+def _random_lr(rng: random.Random, family: str) -> LRFuzzyNumber:
+    if family == "audit":  # as oracle-audit draws them: corners on a 1/256 grid
+        c = sorted(round(rng.uniform(-3.0, 3.0) * 256) / 256 for _ in range(4))
+    elif family == "uniform":
+        c = sorted(rng.uniform(-5.0, 5.0) for _ in range(4))
+    elif family == "crisp":
+        c = [rng.uniform(-5.0, 5.0)] * 4
+    elif family == "zero-spread":
+        c = sorted(rng.uniform(-5.0, 5.0) for _ in range(4))
+        side = rng.choice(("left", "right", "both"))
+        if side != "right":
+            c[0] = c[1]
+        if side != "left":
+            c[3] = c[2]
+    elif family == "sub-step core":  # a core narrower than one grid step
+        lo, hi = sorted(rng.uniform(-5.0, 5.0) for _ in range(2))
+        peak = rng.uniform(lo, hi)
+        c = [lo, peak, peak + rng.uniform(0.0, 1e-4), hi + 1e-4]
+    else:  # "cluster": near 1e3, with spreads of about 1e-6
+        centre = 1e3 + rng.uniform(-1e-3, 1e-3)
+        c = sorted(centre + rng.uniform(-1e-6, 1e-6) for _ in range(4))
+    return LRFuzzyNumber(*c)
+
+
+_FAMILIES = ("audit", "uniform", "crisp", "zero-spread", "sub-step core", "cluster")
+
+
+def _grid_pairs(seed: int, count: int):
+    rng = random.Random(seed)
+    for k in range(count):
+        first = _FAMILIES[k % len(_FAMILIES)]
+        second = first if k % 2 == 0 else rng.choice(_FAMILIES)
+        yield _random_lr(rng, first), _random_lr(rng, second)
+
+
+@pytest.mark.parametrize("grid", [101, 257, 1000, 2001])
+def test_grid_is_the_full_sup_min_bit_for_bit(grid):
+    for x, y in _grid_pairs(grid, 240 if grid < 1000 else 24):
+        zs, levels = zadeh_add_grid(x, y, grid)
+        ref_zs, ref_levels = reference_zadeh_add_grid(x, y, grid)
+        assert zs.tobytes() + levels.tobytes() == ref_zs.tobytes() + ref_levels.tobytes(), \
+            (x, y, grid)
 
 
 def _brute_product_cut(x, y, alpha, n=100):

@@ -47,6 +47,18 @@ def test_piecewise_coefficients_follow_the_number_rule():
     assert PiecewisePoly.affine(2, 1).coeffs == ((1.0, 2.0),)
 
 
+def test_piecewise_breaks_and_coefficients_keep_the_floats_of_the_rule():
+    p = PiecewisePoly((0, 1), ((1, 2),))
+    assert repr(p) == "PiecewisePoly(breaks=(0.0, 1.0), coeffs=((1.0, 2.0),))"
+    assert all(v.__class__ is float for v in p.breaks + p.coeffs[0])
+    q = PiecewisePoly((0.0, 0.5, 1), ((0.0, 2), (1.0, 0.0)))
+    assert q.breaks == (0.0, 0.5, 1.0) and q.breaks[2].__class__ is float
+    assert [c.__class__ for c in q.coeffs[0] + q.coeffs[1]] == [float] * 4
+    for breaks in ((False, 1.0), (0.0, True), (0.0, "1"), (0.0, 10**400)):
+        with pytest.raises(DomainError):
+            PiecewisePoly(breaks, ((1.0,),))
+
+
 def test_piecewise_eval():
     p = PiecewisePoly.affine(2.0, 1.0)
     assert p.eval(0.0) == 1.0

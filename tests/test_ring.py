@@ -211,6 +211,17 @@ def test_interval_rejects_ints_beyond_the_float_range():
         Interval(0.0, -10**400)
 
 
+def test_interval_keeps_floats_and_refuses_bools():
+    i = Interval(0, 5)
+    assert repr(i) == "Interval(lo=0.0, hi=5.0)"
+    assert i.lo.__class__ is float and i.hi.__class__ is float
+    for ends in ((True, 2), (0, False), (False, True), ("0", 1.0), (None, 1.0)):
+        with pytest.raises(DomainError):
+            Interval(*ends)
+    assert Interval(-math.inf, math.inf) == Interval(-math.inf, math.inf)  # infinite ends pass
+    assert Interval(-math.inf, 0).hi.__class__ is float
+
+
 # ---------------------------------------------------------------------------
 # ring axioms
 # ---------------------------------------------------------------------------
