@@ -13,9 +13,11 @@ commutative ring with exact additive inverses.  Around that core:
   level-set / extension-principle fuzzy numbers;
 * a ranking functional with fuzzy-weighted shortest paths, and a CLI.
 
-The three oracle modules load on first use: `ofnring.k_op`, `from ofnring
-import zadeh_add_grid` or `import ofnring.piasecki` imports its module then,
-so `import ofnring` and the CLI's ring commands do not pay for them.
+The expression parser, the path algebra and the three oracle modules load on
+first use: `ofnring.k_op`, `from ofnring import shortest_paths` or `import
+ofnring.piasecki` imports its module then.  So `import ofnring` loads only the
+bases, the errors, the ring and the propriety checks, and the CLI's ring
+commands do not pay for the oracles.
 """
 import importlib
 
@@ -25,9 +27,6 @@ from .errors import (ArithmeticOverflow, DegenerateError, DegreeCapError,
                      DivisionByZero, DocumentError, DomainError, ImproperError,
                      MixedTypeError, NegativeCycle, OfnError, ParseError,
                      RangeError, UnknownBaseError, WrongPathology)
-from .expr import parse_expression
-from .pathalgebra import (FuzzyDigraph, ShortestPathResult, ofn_min, rank,
-                          shortest_paths)
 from .propriety import (PATHOLOGY_COMBINED, PATHOLOGY_II, PATHOLOGY_III,
                         PATHOLOGY_NONE, MembershipBranch, MembershipFunction,
                         ProprietyReport, classify, correct, correct_type_ii,
@@ -40,8 +39,10 @@ from .ring import (EssentialTuple, Interval, Side, TypedOfn, add, crisp, div,
 
 __version__ = "0.1.0"
 
-# oracle module -> the public names it serves on first use (PEP 562)
+# module -> the public names it serves on first use (PEP 562)
 _LAZY = {
+    "expr": ("parse_expression",),
+    "pathalgebra": ("FuzzyDigraph", "ShortestPathResult", "ofn_min", "rank", "shortest_paths"),
     "kosinski": ("FunctionProprietyReport", "PiecewisePoly", "PiecewisePolyOfn",
                  "combine_sides", "corresponding_membership", "k_is_proper",
                  "k_op", "value_preimages"),
@@ -60,7 +61,8 @@ def __getattr__(name: str):
     module = _LAZY_MODULE.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    return value  # kept, so that the next lookup costs what an eager import's does
 
 
 __all__ = [
@@ -75,9 +77,6 @@ __all__ = [
     "correct", "correct_type_ii", "correct_type_iii",
     "MembershipBranch", "MembershipFunction", "membership",
     "membership_from_sides", "membership_eval",
-    "rank", "ofn_min", "FuzzyDigraph",
-    "ShortestPathResult", "shortest_paths",
-    "parse_expression",
     "OfnError", "DomainError", "RangeError", "UnknownBaseError",
     "MixedTypeError", "DivisionByZero", "ImproperError", "DegenerateError",
     "WrongPathology", "DegreeCapError", "NegativeCycle",

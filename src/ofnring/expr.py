@@ -8,9 +8,10 @@ Grammar (left associative, * / bind tighter than + -):
     literal := NAME(a,b,c,d) | rect(b1,b2) | crisp(v)
 
 NAME is the `literal` field of a registered base (trap, sqrtb, gauss and expo
-for the shipped four).  Literal arguments are signed decimals.  There is no
-unary minus at the expression level; negate by subtracting from crisp(0) or
-negating arguments.  Parentheses nest at most MAX_DEPTH deep.
+for the shipped four).  Literal arguments are signed decimals in ASCII digits,
+as in JSON documents.  There is no unary minus at the expression level; negate
+by subtracting from crisp(0) or negating arguments.  Parentheses nest at most
+MAX_DEPTH deep.
 
 Tokens are plain (kind, text, position) tuples.  A literal with one to four
 signed arguments, such as `trap(1, -2, 3, 4)`, is one token: the first
@@ -37,7 +38,7 @@ from .ring import TypedOfn
 # alternative cannot split a number by backtracking; and spaces split only
 # around a sign that is there, so no run of spaces can be split in two ways
 # and a literal that fails to match fails in time linear in its length
-_NUMBER = r"(?:\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+_NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?)"
 _ARGUMENT = rf"\s*(?:([+-])\s*)?({_NUMBER})"
 # groups: 2 the name, then (sign, digits) pairs at 3-4, 5-6, 7-8 and 9-10
 _LITERAL = (rf"(?P<literal>({_NAME.pattern})\s*\({_ARGUMENT}"

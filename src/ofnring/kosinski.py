@@ -5,20 +5,20 @@ continuous functions on [0, 1] and combines pairs pointwise:
 
     (f, g) * (f', g') = (f f', g g')        and likewise for + and -.
 
-The space here is restricted to piecewise polynomials (degree cap 8), which is
-closed under + - * and rich enough to hold every counterexample this package
-reproduces, including the product escapes of the trapezoid family.  Division
-is deliberately absent: quotients of polynomials leave the representation.
+The space here is restricted to one polynomial per side on [0, 1] (degree cap
+8), which is closed under + - * and rich enough to hold every counterexample
+this package reproduces, including the product escapes of the trapezoid
+family.  Division is deliberately absent: quotients of polynomials leave the
+representation.
 
 k_is_proper re-derives propriety analytically: side monotonicity from
 derivative sign analysis and dominance from the extrema of the difference,
-with no sampling: the roots of a piece are isolated between the roots of its
-derivative, found the same way, and each is then pinned down by bisection.
+with no sampling: the roots of a polynomial are isolated between the roots of
+its derivative, found the same way, and each is then pinned down by bisection.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from functools import partial
 from itertools import zip_longest
 
@@ -27,6 +27,7 @@ from .errors import DegreeCapError, DomainError, MixedTypeError
 from .ring import OPERATORS, TypedOfn, _number
 
 MAX_DEGREE = 8
+_UNIT = (0.0, 1.0)
 
 
 def _poly_eval(coeffs: tuple[float, ...], t: float) -> float:
@@ -70,79 +71,52 @@ def _poly_degree(p: tuple[float, ...]) -> int:
 
 
 class PiecewisePoly(_Value):
-    """A continuous piecewise polynomial on [0, 1].
+    """One polynomial on [0, 1]: a side function of a function-pair OFN.
 
-    `breaks` is the strictly increasing knot vector from 0 to 1; piece k uses
-    ascending-power coefficients in the global variable on
-    [breaks[k], breaks[k+1]].
+    `coeffs` is a 1-tuple holding the ascending-power coefficients, and
+    `breaks` is always (0.0, 1.0): the fields keep the shape of a piecewise
+    polynomial with a single piece.
     """
 
     __slots__ = ("breaks", "coeffs")
 
     def __init__(self, breaks: tuple[float, ...], coeffs: tuple[tuple[float, ...], ...]) -> None:
-        br, cs = breaks, coeffs
-        for b in br:
-            if b.__class__ is not float:  # floats pass inline: the tiling checks bound them
-                br = tuple(_number(b, "breakpoint") for b in breaks)
-                break
-        if len(br) < 2 or len(cs) != len(br) - 1:
-            raise DomainError("breaks and pieces do not line up")
-        if br[0] != 0.0 or br[-1] != 1.0:
-            raise DomainError("pieces must tile [0, 1]")
-        for a, b in zip(br, br[1:]):
-            if not a < b:
-                raise DomainError("breakpoints must be strictly increasing")
-        floats = True
-        for p in cs:
-            if _poly_degree(p) > MAX_DEGREE:
-                raise DegreeCapError(f"piece degree exceeds {MAX_DEGREE}")
-            for c in p:
-                if c.__class__ is not float or not math.isfinite(c):  # floats pass inline
-                    _number(c, "piece coefficient")
-                    floats = False
-        if not floats:  # every coefficient passed the rule: keep the floats it returns
-            cs = tuple(tuple(map(float, p)) for p in cs)
-        _set_breaks(self, br)  # the oracles build many: set the slots directly,
-        _set_coeffs(self, cs)  # before the continuity check, as _coeff_scale reads them
-        scale = _coeff_scale(self)
-        for k in range(1, len(br) - 1):
-            left = _poly_eval(cs[k - 1], br[k])
-            right = _poly_eval(cs[k], br[k])
-            if abs(left - right) > 1e-9 * scale:
-                raise DomainError(f"discontinuity at breakpoint {br[k]}")
+        if breaks is not _UNIT and tuple(_number(b, "breakpoint") for b in breaks) != _UNIT:
+            raise DomainError(f"a side is one polynomial on [0, 1], got breaks {breaks!r}")
+        if len(coeffs) != 1:
+            raise DomainError(f"a side is one polynomial, got {len(coeffs)} pieces")
+        p = coeffs[0]
+        if _poly_degree(p) > MAX_DEGREE:
+            raise DegreeCapError(f"degree exceeds {MAX_DEGREE}")
+        _set_breaks(self, _UNIT)
+        _set_coeffs(self, (tuple(_number(c, "coefficient") for c in p),))
 
     @classmethod
     def constant(cls, c: float) -> "PiecewisePoly":
-        return cls((0.0, 1.0), ((_number(c, "constant"),),))
+        return _side(cls, (_number(c, "constant"),))
 
     @classmethod
     def affine(cls, slope: float, offset: float) -> "PiecewisePoly":
-        return cls((0.0, 1.0), ((_number(offset, "offset"), _number(slope, "slope")),))
-
-    def piece_at(self, t: float) -> tuple[float, ...]:
-        k = bisect_right(self.breaks, t) - 1
-        return self.coeffs[min(max(k, 0), len(self.coeffs) - 1)]
+        return _side(cls, (_number(offset, "offset"), _number(slope, "slope")))
 
     def eval(self, t: float) -> float:
         if not 0.0 <= t <= 1.0:
             raise DomainError(f"argument must lie in [0, 1], got {t!r}")
-        return _poly_eval(self.piece_at(t), t)
+        return _poly_eval(self.coeffs[0], t)
 
     def degree(self) -> int:
-        return max(_poly_degree(p) for p in self.coeffs)
+        return _poly_degree(self.coeffs[0])
 
 
 _set_breaks, _set_coeffs = PiecewisePoly._setters
 
 
-def _merge_breaks(x: PiecewisePoly, y: PiecewisePoly) -> tuple[float, ...]:
-    merged: list[float] = []
-    for v in sorted(set(x.breaks) | set(y.breaks)):
-        if merged and v - merged[-1] <= 1e-12:
-            continue
-        merged.append(v)
-    merged[0], merged[-1] = 0.0, 1.0
-    return tuple(merged)
+def _side(cls: type, p: tuple[float, ...]) -> PiecewisePoly:
+    """The side with coefficients p, which passed the number rule and the degree cap."""
+    pp = object.__new__(cls)  # the oracles build many: set the slots directly
+    _set_breaks(pp, _UNIT)
+    _set_coeffs(pp, (p,))
+    return pp
 
 
 class PiecewisePolyOfn(_Value):
@@ -156,47 +130,63 @@ class PiecewisePolyOfn(_Value):
             raise MixedTypeError(
                 f"only identity-base numbers embed as polynomials, got {x.base!r}")
         t = x.coeffs
-        return cls(PiecewisePoly.affine(t.up_slope, t.up_offset),
-                   PiecewisePoly.affine(t.down_slope, t.down_offset))
+        return _pair(cls, PiecewisePoly.affine(t.up_slope, t.up_offset),
+                     PiecewisePoly.affine(t.down_slope, t.down_offset))
+
+
+_set_up, _set_down = PiecewisePolyOfn._setters
+
+
+def _pair(cls: type, up: PiecewisePoly, down: PiecewisePoly) -> PiecewisePolyOfn:
+    """The function pair of two sides, its slots set directly like _side's."""
+    x = object.__new__(cls)
+    _set_up(x, up)
+    _set_down(x, down)
+    return x
 
 
 _COMBINERS = {"+": partial(_poly_zip, "+"), "-": partial(_poly_zip, "-"), "*": _poly_mul}
 
 
-def combine_sides(star: str, a: PiecewisePoly, b: PiecewisePoly) -> PiecewisePoly:
-    """Pointwise combination of two side functions; star is one of + - *."""
+def _combine(star: str, p: tuple[float, ...], q: tuple[float, ...]) -> tuple[float, ...]:
+    """p star q, trimmed; beyond the degree cap or the float range it raises."""
     try:
         combine = _COMBINERS[star]
     except KeyError:
         raise DomainError(f"unsupported operation {star!r}") from None
-    breaks = _merge_breaks(a, b)
-    pieces = []
-    for lo, hi in zip(breaks, breaks[1:]):
-        mid = 0.5 * (lo + hi)
-        p = combine(a.piece_at(mid), b.piece_at(mid))
-        if _poly_degree(p) > MAX_DEGREE:
-            raise DegreeCapError(
-                f"product degree {_poly_degree(p)} exceeds {MAX_DEGREE}")
-        pieces.append(_poly_trim(p))
-    return PiecewisePoly(breaks, tuple(pieces))
+    r = _poly_trim(combine(p, q))
+    if len(r) > MAX_DEGREE + 1:
+        raise DegreeCapError(f"product degree {len(r) - 1} exceeds {MAX_DEGREE}")
+    if not math.isfinite(sum(r)):  # a finite sum clears every coefficient at once
+        for c in r:
+            _number(c, "coefficient")
+    return r
+
+
+def combine_sides(star: str, a: PiecewisePoly, b: PiecewisePoly) -> PiecewisePoly:
+    """Pointwise combination of two side functions; star is one of + - *."""
+    return _side(PiecewisePoly, _combine(star, a.coeffs[0], b.coeffs[0]))
 
 
 def k_op(star: str, x: PiecewisePolyOfn, y: PiecewisePolyOfn) -> PiecewisePolyOfn:
     """Side-for-side combination of two function-pair OFNs."""
-    return PiecewisePolyOfn(combine_sides(star, x.up, y.up),
-                            combine_sides(star, x.down, y.down))
+    return _pair(PiecewisePolyOfn, combine_sides(star, x.up, y.up),
+                 combine_sides(star, x.down, y.down))
 
 
 # ---------------------------------------------------------------------------
-# root isolation
+# root isolation on [0, 1]
 # ---------------------------------------------------------------------------
 
 def _bisect_root(p: tuple[float, ...], lo: float, hi: float) -> float:
     """The root of p in [lo, hi], where p(lo) and p(hi) differ in sign."""
     flo = _poly_eval(p, lo)
+    top_down = p[::-1]
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
-        fmid = _poly_eval(p, mid)
+        fmid = 0.0  # _poly_eval(p, mid), inline: the loop runs about 50 times
+        for c in top_down:
+            fmid = fmid * mid + c
         if fmid == 0.0:
             return mid
         if (flo < 0.0) != (fmid < 0.0):
@@ -207,20 +197,20 @@ def _bisect_root(p: tuple[float, ...], lo: float, hi: float) -> float:
     return mid
 
 
-def _knots(p: tuple[float, ...], lo: float, hi: float) -> list[float]:
-    """[lo, *roots of p' in [lo, hi], hi]: p is monotone between neighbours."""
-    return [lo, *_roots(_poly_deriv(p), lo, hi), hi]
+def _knots(p: tuple[float, ...]) -> list[float]:
+    """[0, *roots of p' in [0, 1], 1]: p is monotone between neighbours."""
+    return [0.0, *_roots(_poly_deriv(p)), 1.0]
 
 
-def _roots(p: tuple[float, ...], lo: float, hi: float) -> list[float]:
-    """Every root of p in [lo, hi], ascending.
+def _roots(p: tuple[float, ...]) -> list[float]:
+    """Every root of p in [0, 1], ascending.
 
     The recursion on p' ends at a constant, at most MAX_DEGREE levels down.
     """
     p = _poly_trim(p)
     if len(p) == 1:
         return []
-    return _sign_changes(p, _knots(p, lo, hi))
+    return _sign_changes(p, _knots(p))
 
 
 def _sign_changes(p: tuple[float, ...], knots: list[float]) -> list[float]:
@@ -238,34 +228,21 @@ def _sign_changes(p: tuple[float, ...], knots: list[float]) -> list[float]:
     return roots
 
 
-def _piece_min(p: tuple[float, ...], lo: float, hi: float) -> float:
-    return min(_poly_eval(p, t) for t in _knots(p, lo, hi))
+def _coeff_scale(p: tuple[float, ...]) -> float:
+    return max((1.0, *map(abs, p)))
 
 
-def _coeff_scale(pp: PiecewisePoly) -> float:
-    return max(1.0, max((abs(c) for p in pp.coeffs for c in p), default=1.0))
-
-
-def _direction(pp: PiecewisePoly) -> str:
-    """'inc', 'dec', 'const' or 'mixed', from derivative signs piece by piece."""
-    tol = 1e-12 * _coeff_scale(pp)
-    rising = falling = False
-    for (lo, hi), p in zip(zip(pp.breaks, pp.breaks[1:]), pp.coeffs):
-        d = _poly_deriv(p)
-        knots = _knots(p, lo, hi)
-        for a, b in zip(knots, knots[1:]):
-            v = _poly_eval(d, 0.5 * (a + b))
-            if v > tol:
-                rising = True
-            elif v < -tol:
-                falling = True
-        if rising and falling:
-            return "mixed"
+def _direction(p: tuple[float, ...]) -> str:
+    """'inc', 'dec', 'const' or 'mixed', from the signs of p' between its roots."""
+    tol = 1e-12 * _coeff_scale(p)
+    d = _poly_deriv(p)
+    knots = [0.0, *_roots(d), 1.0]
+    slopes = [_poly_eval(d, 0.5 * (a + b)) for a, b in zip(knots, knots[1:])]
+    rising = any(v > tol for v in slopes)
+    falling = any(v < -tol for v in slopes)
     if rising:
-        return "inc"
-    if falling:
-        return "dec"
-    return "const"
+        return "mixed" if falling else "inc"
+    return "dec" if falling else "const"
 
 
 class FunctionProprietyReport(_Value):
@@ -276,8 +253,9 @@ class FunctionProprietyReport(_Value):
 
 def k_is_proper(x: PiecewisePolyOfn) -> FunctionProprietyReport:
     """Propriety of a function-pair OFN, with the first violated condition."""
-    du = _direction(x.up)
-    dd = _direction(x.down)
+    up, down = x.up.coeffs[0], x.down.coeffs[0]
+    du = _direction(up)
+    dd = _direction(down)
     if du == "mixed":
         return FunctionProprietyReport(False, "up-not-monotonic")
     if dd == "mixed":
@@ -286,12 +264,12 @@ def k_is_proper(x: PiecewisePolyOfn) -> FunctionProprietyReport:
         return FunctionProprietyReport(
             False, "both-increasing" if du == "inc" else "both-decreasing")
 
-    tol = 1e-9 * max(_coeff_scale(x.up), _coeff_scale(x.down))
-    u0, d0 = x.up.eval(0.0), x.down.eval(0.0)
+    tol = 1e-9 * max(_coeff_scale(up), _coeff_scale(down))
+    u0, d0 = _poly_eval(up, 0.0), _poly_eval(down, 0.0)
     if abs(u0 - d0) > tol:
         up_below = u0 < d0
     else:
-        u1, d1 = x.up.eval(1.0), x.down.eval(1.0)
+        u1, d1 = _poly_eval(up, 1.0), _poly_eval(down, 1.0)
         if abs(u1 - d1) <= tol:
             # coincident at both ends with compatible directions: degenerate
             return FunctionProprietyReport(True, None)
@@ -305,13 +283,9 @@ def k_is_proper(x: PiecewisePolyOfn) -> FunctionProprietyReport:
         return FunctionProprietyReport(False, "twisted")
 
     # dominance: the gap between the sides must stay nonnegative
-    if up_below:
-        gap = combine_sides("-", x.down, x.up)
-    else:
-        gap = combine_sides("-", x.up, x.down)
-    for (lo, hi), p in zip(zip(gap.breaks, gap.breaks[1:]), gap.coeffs):
-        if _piece_min(p, lo, hi) < -tol:
-            return FunctionProprietyReport(False, "dominance")
+    gap = _combine("-", down, up) if up_below else _combine("-", up, down)
+    if min(_poly_eval(gap, t) for t in _knots(gap)) < -tol:
+        return FunctionProprietyReport(False, "dominance")
     return FunctionProprietyReport(True, None)
 
 
@@ -320,18 +294,16 @@ def k_is_proper(x: PiecewisePolyOfn) -> FunctionProprietyReport:
 # ---------------------------------------------------------------------------
 
 def value_preimages(pp: PiecewisePoly, v: float) -> list[float]:
-    """All alpha in [0, 1] with pp(alpha) = v (intervals report both ends)."""
-    out: list[float] = []
-    for (lo, hi), p in zip(zip(pp.breaks, pp.breaks[1:]), pp.coeffs):
-        shifted = _poly_trim(_poly_zip("-", p, (v,)))
-        if shifted == (0.0,):
-            out.extend((lo, hi))
-            continue
-        # p - v has the same derivative, hence the same knots, as p; a
-        # tangency that rounding keeps off zero shows at an interior knot
-        knots = _knots(p, lo, hi)
-        out.extend(_sign_changes(shifted, knots))
-        out.extend(t for t in knots[1:-1] if abs(_poly_eval(p, t) - v) <= 1e-11)
+    """All alpha in [0, 1] with pp(alpha) = v (a constant side reports both ends)."""
+    p = pp.coeffs[0]
+    shifted = _poly_trim(_poly_zip("-", p, (v,)))
+    if shifted == (0.0,):
+        return [0.0, 1.0]
+    # p - v has the same derivative, hence the same knots, as p; a tangency
+    # that rounding keeps off zero shows at an interior knot
+    knots = _knots(p)
+    out = _sign_changes(shifted, knots)
+    out.extend(t for t in knots[1:-1] if abs(_poly_eval(p, t) - v) <= 1e-11)
     out.sort()
     dedup: list[float] = []
     for t in out:
@@ -347,7 +319,7 @@ def corresponding_membership(x: PiecewisePolyOfn, v: float) -> float:
     well defined (if not a genuine membership function) for improper ones.
     """
     cands = value_preimages(x.up, v) + value_preimages(x.down, v)
-    u1, d1 = x.up.eval(1.0), x.down.eval(1.0)
+    u1, d1 = _poly_eval(x.up.coeffs[0], 1.0), _poly_eval(x.down.coeffs[0], 1.0)
     core_lo, core_hi = min(u1, d1), max(u1, d1)
     if core_lo - 1e-12 <= v <= core_hi + 1e-12:
         cands.append(1.0)

@@ -62,7 +62,7 @@ def _side_poly(star: str, xs: tuple[float, float], ys: tuple[float, float]) -> P
     if star in ("+", "-", "*"):
         return combine_sides(star, PiecewisePoly.affine(*xs), PiecewisePoly.affine(*ys))
     # star == "/": exact only against a constant divisor; affine quotients
-    # are rational and leave the piecewise-polynomial representation
+    # are rational and leave the polynomial representation
     yslope, yoffset = ys
     if yslope != 0.0:
         raise DomainError(

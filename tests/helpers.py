@@ -264,7 +264,7 @@ def reference_graph_from_doc(doc: Any) -> FuzzyDigraph:
 # ---------------------------------------------------------------------------
 
 _REFERENCE_TOKEN = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<number>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?)"
     rf"|(?P<name>{_NAME.pattern})"
     r"|(?P<op>[-+*/(),]))")
 

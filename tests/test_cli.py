@@ -52,6 +52,12 @@ def test_eval_parse_error_is_exit_2(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_eval_unicode_digit_is_exit_2(capsys):
+    # literal arguments are ASCII decimals, as in JSON documents
+    assert main(["eval", "--expr", "trap(١,2,3,4)"]) == 2
+    assert capsys.readouterr().err.startswith("error: unexpected character '١'")
+
+
 def test_eval_mixed_bases_is_exit_3():
     assert main(["eval", "--expr", "trap(1,0,-1,2) + gauss(1,0,-1,2)"]) == 3
 

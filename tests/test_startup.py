@@ -1,6 +1,9 @@
 """Start-up cost: what a CLI command does not use, it does not import.
 
-The ring, the propriety checks, the other oracles and the CLI need no numpy,
+A bare `import ofnring` loads the bases, the errors, the ring and the
+propriety checks, and no other module of the package; the expression parser
+and the path algebra load on first use, and `fractions` and `decimal` not at
+all.  The ring, the propriety checks, the other oracles and the CLI need no numpy,
 so a child interpreter that imports the package and runs CLI commands must
 not load it; `zadeh_add_grid` loads it when called.  The oracle modules, the
 demo and the SVG writer load on first use too, so `eval`, `classify` and
@@ -60,15 +63,41 @@ print(json.dumps({"codes": codes, "numpy_before_grid": before,
 """
 
 
-@pytest.fixture(scope="module")
-def report(tmp_path_factory):
+def run_child(code: str, *args: str):
+    """What a child interpreter that runs `code` prints, read as JSON."""
     # the child imports the same package as this test, however pytest found it
     src = os.path.dirname(os.path.dirname(ofnring.__file__))
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path_factory.mktemp("docs"))],
-                          capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def report(tmp_path_factory):
+    return run_child(CHILD, str(tmp_path_factory.mktemp("docs")))
+
+
+BARE = r"""
+import json, sys
+import ofnring
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_a_bare_import_loads_the_ring_and_the_propriety_checks_only():
+    loaded = run_child(BARE)
+    assert [m for m in loaded if m == "ofnring" or m.startswith("ofnring.")] == [
+        "ofnring", "ofnring.bases", "ofnring.errors", "ofnring.propriety", "ofnring.ring"]
+    assert [m for m in ("fractions", "decimal", "numpy") if m in loaded] == []
+
+
+def test_a_lazy_name_is_resolved_once():
+    # after the first lookup the name is a plain module attribute, which costs
+    # tens of nanoseconds to read where the lookup through the module costs a µs
+    for name in ("shortest_paths", "k_op"):
+        value = getattr(ofnring, name)
+        assert vars(ofnring)[name] is value
 
 
 def test_numpy_loads_only_inside_the_zadeh_grid(report):

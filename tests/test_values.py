@@ -35,7 +35,7 @@ FIELDS = {
                          "support": Interval(0.0, 2.0)},
     ShortestPathResult: {"source": 0, "distances": (crisp(0.0), None),
                          "predecessors": (None, None), "scans": 1, "relaxations": 0},
-    PiecewisePoly: {"breaks": (0.0, 0.5, 1.0), "coeffs": ((0.0, 2.0), (2.0, -2.0))},
+    PiecewisePoly: {"breaks": (0.0, 1.0), "coeffs": ((0.0, 2.0, -2.0),)},
     PiecewisePolyOfn: {"up": PiecewisePoly.affine(1.0, 0.0),
                        "down": PiecewisePoly.affine(-1.0, 2.0)},
     FunctionProprietyReport: {"proper": False, "violation": "twisted"},
