@@ -35,7 +35,8 @@ class LRFuzzyNumber(_Value):
              zip((support_lo, core_lo, core_hi, support_hi), _CORNERS)]
         if not (c[0] <= c[1] <= c[2] <= c[3]):
             raise DomainError(f"corners must be ordered, got {tuple(c)}")
-        _Value.__init__(self, *c)
+        for set_slot, v in zip(self._setters, c):
+            set_slot(self, v)
 
     @property
     def left_spread(self) -> float:
@@ -81,6 +82,69 @@ def _linspace_top(lo: float, hi: float, grid: int) -> float:
     return lo + (grid - 1) * ((hi - lo) / (grid - 1))
 
 
+def _membership_grid(n: LRFuzzyNumber, xs):
+    """lr_membership of n at every value of the numpy array xs, by the same expressions."""
+    import numpy as np
+
+    out = ((xs >= n.core_lo) & (xs <= n.core_hi)).astype(float)
+    if n.left_spread > 0.0:
+        left = (xs >= n.support_lo) & (xs < n.core_lo)
+        np.subtract(xs, n.support_lo, out=out, where=left)
+        np.divide(out, n.left_spread, out=out, where=left)
+    if n.right_spread > 0.0:
+        right = (xs > n.core_hi) & (xs <= n.support_hi)
+        np.subtract(n.support_hi, xs, out=out, where=right)
+        np.divide(out, n.right_spread, out=out, where=right)
+    return out
+
+
+def _first(fails, start, stop, guess, rounds: int):
+    """Per point, the first index in [start, stop) where `fails` no longer holds, else stop.
+
+    fails(i) must hold on a prefix of [start, stop) and nowhere after.  It is
+    called once per round with one index per point, so every point moves
+    together.  A point first probes the floor of its `guess` (a float array,
+    clipped into the range), then gallops out from there by 1, 2, 4, ...
+    until a probe answers the other way, and bisects the bracket that is
+    left; a point whose guess is not finite bisects from the start.  Every
+    probe asks the same question of the same index, so the guess decides how
+    many rounds run, never the answer.  A point gallops only while a miss
+    leaves bisection enough rounds, so none takes more than `rounds`, which
+    must be at least ceil(log2(stop - start + 1)) + 2.
+    """
+    import numpy as np
+
+    lo = np.zeros(guess.shape, np.intp) + start  # the answer lies in [lo, hi]
+    hi = np.zeros(guess.shape, np.intp) + stop
+    last = hi - 1
+    galloping = np.isfinite(guess)
+    origin = np.floor(guess)
+    if not galloping.all():  # without a guess, the first probe bisects
+        origin = np.where(galloping, origin, (lo + hi) >> 1)
+    origin = m = np.minimum(np.maximum(origin, lo), last).astype(np.intp)
+    for r in range(rounds):
+        # a settled point probes its answer (the last index if that is stop),
+        # which leaves it settled
+        held = fails(m)
+        np.copyto(lo, m + 1, where=held)
+        np.copyto(hi, m, where=~held)
+        unsettled = lo < hi
+        if not np.count_nonzero(unsettled):
+            break
+        if r == 0:
+            up = held  # the side each guess missed on
+        galloping &= held == up
+        m = (lo + hi) >> 1
+        if np.count_nonzero(galloping & unsettled):
+            step = 1 << r
+            ahead = np.maximum(np.minimum(np.where(up, origin + step, origin - step), hi - 1), lo)
+            if r:  # the first two rounds always leave bisection time
+                galloping &= np.maximum(hi - ahead, ahead + 1 - lo) <= 1 << (rounds - r - 2)
+            m = np.where(galloping, ahead, m)
+        m = np.minimum(m, last)
+    return lo
+
+
 def zadeh_add_grid(x: LRFuzzyNumber, y: LRFuzzyNumber, grid: int = 2001):
     """Sup-min convolution of the sum, sampled on `grid` output points.
 
@@ -96,8 +160,18 @@ def zadeh_add_grid(x: LRFuzzyNumber, y: LRFuzzyNumber, grid: int = 2001):
     spread keep weak monotonicity.  So min(f, g) peaks between the two peaks,
     where one falls and the other rises: at the last index where the falling
     one is still the larger, or at the next.  The peak of g and that crossing
-    are each found by bisection, for all output points at once, and every
-    value is computed by the same expression a full grid would use.
+    are each found by a search (`_first`), for all output points at once, and
+    every value is computed by the same expression a full grid would use.
+
+    Each search starts from a guess.  The flanks are straight lines, so the
+    peak of g lies near the sample zs[j] - core_hi of y, and the crossing
+    near the point where the falling flank meets the rising one: where
+    (support_hi - t) / right_spread of x equals (support_hi - zs[j] + t) /
+    right_spread of y when f falls, and where the two left flanks meet when
+    f rises.  A good guess settles the search in two rounds; a poor one
+    (a clamped flank, a zero spread, a crisp number) only costs rounds, at
+    most ceil(log2 grid) + 3 of them, because every probe tests the same
+    monotone predicate and the guess never changes the answer.
 
     `grid` is an int of at least 101 (DomainError otherwise).  A grid whose
     values would leave the float range raises ArithmeticOverflow before
@@ -119,42 +193,20 @@ def zadeh_add_grid(x: LRFuzzyNumber, y: LRFuzzyNumber, grid: int = 2001):
 
     import numpy as np
 
-    def membership_grid(n: LRFuzzyNumber, xs):
-        out = np.zeros_like(xs, dtype=float)
-        inside = (xs >= n.support_lo) & (xs <= n.support_hi)
-        core = (xs >= n.core_lo) & (xs <= n.core_hi)
-        out[core] = 1.0
-        if n.left_spread > 0.0:
-            left = inside & (xs < n.core_lo)
-            out[left] = (xs[left] - n.support_lo) / n.left_spread
-        if n.right_spread > 0.0:
-            right = inside & (xs > n.core_hi)
-            out[right] = (n.support_hi - xs[right]) / n.right_spread
-        return out
-
     ts = np.linspace(x.support_lo, x.support_hi, grid)
-    mu_x = membership_grid(x, ts)
+    mu_x = _membership_grid(x, ts)
     zs = np.linspace(lo_sum, hi_sum, grid)
-    steps = [1 << k for k in reversed(range(grid.bit_length()))]
+    rounds = (grid - 1).bit_length() + 3
 
     def mu_y(i):  # g at index i[j] of output point j, for every j
-        return membership_grid(y, zs - ts[i])
-
-    def first(fails, start, stop):
-        """Per point, the first index in [start, stop) that no longer fails, else stop.
-
-        fails(i) must hold on a prefix of [start, stop) and nowhere after.
-        """
-        at = start
-        for step in steps:
-            nxt = at + step
-            moved = (nxt <= stop) & fails(np.minimum(nxt, stop) - 1)
-            at = np.where(moved, nxt, at)
-        return at
+        return _membership_grid(y, zs - ts[i])
 
     a = np.argmax(mu_x)  # a peak of f
+    dt = (x.support_hi - x.support_lo) / (grid - 1)  # the step of ts
+    with np.errstate(all="ignore"):  # a guess may be anything; a bad one costs rounds
+        guess = (zs - y.core_hi - x.support_lo) / dt
     # g rises while zs[j] - ts[i] > core_hi and falls from there on
-    p = first(lambda i: zs - ts[i] > y.core_hi, np.zeros(grid, np.intp), grid)
+    p = _first(lambda i: zs - ts[i] > y.core_hi, 0, grid, guess, rounds)
     before, after = np.clip(p - 1, 0, grid - 1), np.minimum(p, grid - 1)
     b = np.where(mu_y(before) >= mu_y(after), before, after)  # a peak of g
     lo, hi = np.minimum(a, b), np.maximum(a, b)
@@ -164,8 +216,14 @@ def zadeh_add_grid(x: LRFuzzyNumber, y: LRFuzzyNumber, grid: int = 2001):
         f, g = mu_x[i], mu_y(i)
         return np.where(f_falls, f >= g, g >= f)
 
+    with np.errstate(all="ignore"):
+        rx, ry = x.right_spread, y.right_spread
+        lx, ly = x.left_spread, y.left_spread
+        meet = np.where(f_falls, (ry * x.support_hi - rx * (y.support_hi - zs)) / (rx + ry),
+                        (lx * (zs - y.support_lo) + ly * x.support_lo) / (lx + ly))
+        guess = (meet - x.support_lo) / dt
     # on [lo, c) min(f, g) is the rising one, on [c, hi] the falling one
-    c = first(falling_ahead, lo, hi + 1)
+    c = _first(falling_ahead, lo, hi + 1, guess, rounds)
 
     def level(i):
         return np.minimum(mu_x[i], mu_y(i))
@@ -191,7 +249,17 @@ def from_typed_trapezoid(x: TypedOfn) -> LRFuzzyNumber:
         raise MixedTypeError(f"expected the identity base, got {x.base!r}")
     if not classify(x).proper:
         raise ImproperError("only proper numbers have a classical reading")
-    outer = level_set(x, 0.0)
-    core = level_set(x, 1.0)
-    return LRFuzzyNumber(outer.lo, core.lo, core.hi, outer.hi)
-
+    # the sides at alpha = 0 and 1 as level_set forms them, with h(0) = 0 and
+    # h(1) = 1: slope * 0.0 keeps the sign that zero offsets get there
+    us, uo, ds, do = x.coeffs
+    u0 = uo if us == 0.0 else us * 0.0 + uo
+    d0 = do if ds == 0.0 else ds * 0.0 + do
+    u1 = uo if us == 0.0 else us + uo
+    d1 = do if ds == 0.0 else ds + do
+    corners = (min(u0, d0), min(u1, d1), max(u1, d1), max(u0, d0))
+    if not corners[0] <= corners[1] <= corners[2] <= corners[3]:  # also if a sum overflowed
+        return LRFuzzyNumber(*corners)  # which raises the checked constructor's error
+    n = object.__new__(LRFuzzyNumber)
+    for set_slot, v in zip(LRFuzzyNumber._setters, corners):
+        set_slot(n, v)
+    return n

@@ -251,18 +251,23 @@ class FunctionProprietyReport(_Value):
     __slots__ = ("proper", "violation")
 
 
+# the seven verdicts, built once: values are immutable, so k_is_proper shares them
+_VERDICTS = {v: FunctionProprietyReport(v is None, v) for v in (
+    None, "up-not-monotonic", "down-not-monotonic", "both-increasing", "both-decreasing",
+    "twisted", "dominance")}
+
+
 def k_is_proper(x: PiecewisePolyOfn) -> FunctionProprietyReport:
     """Propriety of a function-pair OFN, with the first violated condition."""
     up, down = x.up.coeffs[0], x.down.coeffs[0]
     du = _direction(up)
     dd = _direction(down)
     if du == "mixed":
-        return FunctionProprietyReport(False, "up-not-monotonic")
+        return _VERDICTS["up-not-monotonic"]
     if dd == "mixed":
-        return FunctionProprietyReport(False, "down-not-monotonic")
+        return _VERDICTS["down-not-monotonic"]
     if du == dd and du in ("inc", "dec"):
-        return FunctionProprietyReport(
-            False, "both-increasing" if du == "inc" else "both-decreasing")
+        return _VERDICTS["both-increasing" if du == "inc" else "both-decreasing"]
 
     tol = 1e-9 * max(_coeff_scale(up), _coeff_scale(down))
     u0, d0 = _poly_eval(up, 0.0), _poly_eval(down, 0.0)
@@ -272,7 +277,7 @@ def k_is_proper(x: PiecewisePolyOfn) -> FunctionProprietyReport:
         u1, d1 = _poly_eval(up, 1.0), _poly_eval(down, 1.0)
         if abs(u1 - d1) <= tol:
             # coincident at both ends with compatible directions: degenerate
-            return FunctionProprietyReport(True, None)
+            return _VERDICTS[None]
         up_below = u1 < d1
 
     if up_below:
@@ -280,13 +285,13 @@ def k_is_proper(x: PiecewisePolyOfn) -> FunctionProprietyReport:
     else:
         ok_dirs = du in ("dec", "const") and dd in ("inc", "const")
     if not ok_dirs:
-        return FunctionProprietyReport(False, "twisted")
+        return _VERDICTS["twisted"]
 
     # dominance: the gap between the sides must stay nonnegative
     gap = _combine("-", down, up) if up_below else _combine("-", up, down)
     if min(_poly_eval(gap, t) for t in _knots(gap)) < -tol:
-        return FunctionProprietyReport(False, "dominance")
-    return FunctionProprietyReport(True, None)
+        return _VERDICTS["dominance"]
+    return _VERDICTS[None]
 
 
 # ---------------------------------------------------------------------------

@@ -401,6 +401,34 @@ def reference_parse_expression(text: str) -> TypedOfn:
 # the full sup-min grid: the test oracle for classical.zadeh_add_grid
 # ---------------------------------------------------------------------------
 
+def random_lr(rng: random.Random, family: str) -> LRFuzzyNumber:
+    """A classical number from one of LR_FAMILIES, the shapes the Zadeh grid must handle."""
+    if family == "audit":  # as oracle-audit draws them: corners on a 1/256 grid
+        c = sorted(round(rng.uniform(-3.0, 3.0) * 256) / 256 for _ in range(4))
+    elif family == "uniform":
+        c = sorted(rng.uniform(-5.0, 5.0) for _ in range(4))
+    elif family == "crisp":
+        c = [rng.uniform(-5.0, 5.0)] * 4
+    elif family == "zero-spread":
+        c = sorted(rng.uniform(-5.0, 5.0) for _ in range(4))
+        side = rng.choice(("left", "right", "both"))
+        if side != "right":
+            c[0] = c[1]
+        if side != "left":
+            c[3] = c[2]
+    elif family == "sub-step core":  # a core narrower than one grid step
+        lo, hi = sorted(rng.uniform(-5.0, 5.0) for _ in range(2))
+        peak = rng.uniform(lo, hi)
+        c = [lo, peak, peak + rng.uniform(0.0, 1e-4), hi + 1e-4]
+    else:  # "cluster": near 1e3, with spreads of about 1e-6
+        centre = 1e3 + rng.uniform(-1e-3, 1e-3)
+        c = sorted(centre + rng.uniform(-1e-6, 1e-6) for _ in range(4))
+    return LRFuzzyNumber(*c)
+
+
+LR_FAMILIES = ("audit", "uniform", "crisp", "zero-spread", "sub-step core", "cluster")
+
+
 def reference_zadeh_add_grid(x: LRFuzzyNumber, y: LRFuzzyNumber, grid: int = 2001):
     """(zs, levels) from every one of the grid x grid sample pairs: the test oracle.
 

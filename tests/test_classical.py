@@ -4,13 +4,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ofnring import (GAUSSIAN_INVERSE, ArithmeticOverflow, DomainError, ImproperError,
-                     Interval, LRFuzzyNumber, MixedTypeError, from_typed_trapezoid,
+                     Interval, LRFuzzyNumber, MixedTypeError, classical, from_typed_trapezoid,
                      levelset_add, lr_level_set, lr_membership, rectangular,
                      trapezoid, typed, zadeh_add_grid, zadeh_mul_levelsets)
 
-from helpers import reference_zadeh_add_grid
+from helpers import LR_FAMILIES, random_lr, reference_zadeh_add_grid
 
 
 def test_corner_validation():
@@ -106,39 +108,12 @@ def test_grid_overflow_raises_before_numpy(x, y):
         zadeh_add_grid(x, y, 101)
 
 
-def _random_lr(rng: random.Random, family: str) -> LRFuzzyNumber:
-    if family == "audit":  # as oracle-audit draws them: corners on a 1/256 grid
-        c = sorted(round(rng.uniform(-3.0, 3.0) * 256) / 256 for _ in range(4))
-    elif family == "uniform":
-        c = sorted(rng.uniform(-5.0, 5.0) for _ in range(4))
-    elif family == "crisp":
-        c = [rng.uniform(-5.0, 5.0)] * 4
-    elif family == "zero-spread":
-        c = sorted(rng.uniform(-5.0, 5.0) for _ in range(4))
-        side = rng.choice(("left", "right", "both"))
-        if side != "right":
-            c[0] = c[1]
-        if side != "left":
-            c[3] = c[2]
-    elif family == "sub-step core":  # a core narrower than one grid step
-        lo, hi = sorted(rng.uniform(-5.0, 5.0) for _ in range(2))
-        peak = rng.uniform(lo, hi)
-        c = [lo, peak, peak + rng.uniform(0.0, 1e-4), hi + 1e-4]
-    else:  # "cluster": near 1e3, with spreads of about 1e-6
-        centre = 1e3 + rng.uniform(-1e-3, 1e-3)
-        c = sorted(centre + rng.uniform(-1e-6, 1e-6) for _ in range(4))
-    return LRFuzzyNumber(*c)
-
-
-_FAMILIES = ("audit", "uniform", "crisp", "zero-spread", "sub-step core", "cluster")
-
-
 def _grid_pairs(seed: int, count: int):
     rng = random.Random(seed)
     for k in range(count):
-        first = _FAMILIES[k % len(_FAMILIES)]
-        second = first if k % 2 == 0 else rng.choice(_FAMILIES)
-        yield _random_lr(rng, first), _random_lr(rng, second)
+        first = LR_FAMILIES[k % len(LR_FAMILIES)]
+        second = first if k % 2 == 0 else rng.choice(LR_FAMILIES)
+        yield random_lr(rng, first), random_lr(rng, second)
 
 
 @pytest.mark.parametrize("grid", [101, 257, 1000, 2001])
@@ -148,6 +123,36 @@ def test_grid_is_the_full_sup_min_bit_for_bit(grid):
         ref_zs, ref_levels = reference_zadeh_add_grid(x, y, grid)
         assert zs.tobytes() + levels.tobytes() == ref_zs.tobytes() + ref_levels.tobytes(), \
             (x, y, grid)
+
+
+# one point of a search: its range [start, start + length), where its
+# predicate stops holding (an offset into the range, or past its end), and a
+# guess inside it, outside it, far off or not finite
+_POINTS = st.tuples(
+    st.integers(0, 40), st.integers(1, 300), st.integers(0, 310),
+    st.one_of(st.floats(-5.0, 305.0), st.floats(-1e300, 1e300),
+              st.sampled_from([math.nan, math.inf, -math.inf, -1e300, 1e300])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_POINTS, min_size=1, max_size=40), st.integers(2, 4))
+def test_first_from_a_guess_is_a_linear_scan_within_its_rounds(points, slack):
+    start, length, edge, offset = (np.array(v) for v in zip(*points))
+    stop = start + length
+    edge = start + edge  # fails(i) holds for i < edge: a prefix of each range
+    guess = start + offset
+    rounds = int(np.max(np.ceil(np.log2(length + 1)))) + slack
+    calls = []
+
+    def fails(i):
+        assert i.dtype == np.intp and np.all((start <= i) & (i < stop))
+        calls.append(i)
+        return i < edge
+
+    got = classical._first(fails, start, stop, guess, rounds)
+    want = [next((i for i in range(a, b) if not i < e), b) for a, b, e in zip(start, stop, edge)]
+    assert got.tolist() == want
+    assert len(calls) <= rounds
 
 
 def _brute_product_cut(x, y, alpha, n=100):
