@@ -43,18 +43,25 @@ class _Value:
     Name(field=value, ...), and pickling and copying call the class with the
     fields in order.  __init__ sets the slots in order, from arguments given
     by position or by slot name; a class that checks its arguments writes its
-    own.  `_setters` holds one setter per slot, for code that fills a value
-    without calling __init__.
+    own.  `_setters` holds one setter per slot.
+
+    A class of two to five slots also has `_make(*slots)`, which sets the
+    slots in order and checks nothing, at about the cost of setting them by
+    hand and well under that of __init__.  It is for fields computed from
+    values that were already checked, such as a ring result or a report on a
+    number, never for what a user passes in.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        if not vars(cls).get("__slots__"):  # a subclass that adds no slot keeps its parent's
-            return
-        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
-        cls._fields = vars(cls).get("_fields", cls.__slots__)
-        cls._field_values = attrgetter(*cls._fields)
+        if vars(cls).get("__slots__"):  # a subclass that adds no slot keeps its parent's
+            cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+            cls._fields = vars(cls).get("_fields", cls.__slots__)
+            cls._field_values = attrgetter(*cls._fields)
+        make = _maker(cls)  # a subclass's own, so that it builds the subclass
+        if make is not None:
+            cls._make = staticmethod(make)
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         setters = self._setters
@@ -88,6 +95,49 @@ class _Value:
 
     def __reduce__(self):
         return (type(self), self._field_values(self))
+
+
+def _maker(cls: type) -> Callable[..., _Value] | None:
+    """cls._make for two to five slots, else None: a closure with the slot
+    setters bound as locals and unrolled, so that building it compiles nothing."""
+    new, setters = object.__new__, cls._setters
+    if len(setters) == 2:
+        s0, s1 = setters
+        def _make(a, b):
+            x = new(cls)
+            s0(x, a)
+            s1(x, b)
+            return x
+    elif len(setters) == 3:
+        s0, s1, s2 = setters
+        def _make(a, b, c):
+            x = new(cls)
+            s0(x, a)
+            s1(x, b)
+            s2(x, c)
+            return x
+    elif len(setters) == 4:
+        s0, s1, s2, s3 = setters
+        def _make(a, b, c, d):
+            x = new(cls)
+            s0(x, a)
+            s1(x, b)
+            s2(x, c)
+            s3(x, d)
+            return x
+    elif len(setters) == 5:
+        s0, s1, s2, s3, s4 = setters
+        def _make(a, b, c, d, e):
+            x = new(cls)
+            s0(x, a)
+            s1(x, b)
+            s2(x, c)
+            s3(x, d)
+            s4(x, e)
+            return x
+    else:  # BaseFunction's ten: built once per registration, through __init__
+        return None
+    return _make
 
 
 class BaseFunction(_Value):

@@ -35,8 +35,7 @@ class LRFuzzyNumber(_Value):
              zip((support_lo, core_lo, core_hi, support_hi), _CORNERS)]
         if not (c[0] <= c[1] <= c[2] <= c[3]):
             raise DomainError(f"corners must be ordered, got {tuple(c)}")
-        for set_slot, v in zip(self._setters, c):
-            set_slot(self, v)
+        _Value.__init__(self, *c)
 
     @property
     def left_spread(self) -> float:
@@ -259,7 +258,4 @@ def from_typed_trapezoid(x: TypedOfn) -> LRFuzzyNumber:
     corners = (min(u0, d0), min(u1, d1), max(u1, d1), max(u0, d0))
     if not corners[0] <= corners[1] <= corners[2] <= corners[3]:  # also if a sum overflowed
         return LRFuzzyNumber(*corners)  # which raises the checked constructor's error
-    n = object.__new__(LRFuzzyNumber)
-    for set_slot, v in zip(LRFuzzyNumber._setters, corners):
-        set_slot(n, v)
-    return n
+    return LRFuzzyNumber._make(*corners)

@@ -88,16 +88,15 @@ class PiecewisePoly(_Value):
         p = coeffs[0]
         if _poly_degree(p) > MAX_DEGREE:
             raise DegreeCapError(f"degree exceeds {MAX_DEGREE}")
-        _set_breaks(self, _UNIT)
-        _set_coeffs(self, (tuple(_number(c, "coefficient") for c in p),))
+        _Value.__init__(self, _UNIT, (tuple(_number(c, "coefficient") for c in p),))
 
     @classmethod
     def constant(cls, c: float) -> "PiecewisePoly":
-        return _side(cls, (_number(c, "constant"),))
+        return cls._make(_UNIT, ((_number(c, "constant"),),))
 
     @classmethod
     def affine(cls, slope: float, offset: float) -> "PiecewisePoly":
-        return _side(cls, (_number(offset, "offset"), _number(slope, "slope")))
+        return cls._make(_UNIT, ((_number(offset, "offset"), _number(slope, "slope")),))
 
     def eval(self, t: float) -> float:
         if not 0.0 <= t <= 1.0:
@@ -106,17 +105,6 @@ class PiecewisePoly(_Value):
 
     def degree(self) -> int:
         return _poly_degree(self.coeffs[0])
-
-
-_set_breaks, _set_coeffs = PiecewisePoly._setters
-
-
-def _side(cls: type, p: tuple[float, ...]) -> PiecewisePoly:
-    """The side with coefficients p, which passed the number rule and the degree cap."""
-    pp = object.__new__(cls)  # the oracles build many: set the slots directly
-    _set_breaks(pp, _UNIT)
-    _set_coeffs(pp, (p,))
-    return pp
 
 
 class PiecewisePolyOfn(_Value):
@@ -130,19 +118,8 @@ class PiecewisePolyOfn(_Value):
             raise MixedTypeError(
                 f"only identity-base numbers embed as polynomials, got {x.base!r}")
         t = x.coeffs
-        return _pair(cls, PiecewisePoly.affine(t.up_slope, t.up_offset),
-                     PiecewisePoly.affine(t.down_slope, t.down_offset))
-
-
-_set_up, _set_down = PiecewisePolyOfn._setters
-
-
-def _pair(cls: type, up: PiecewisePoly, down: PiecewisePoly) -> PiecewisePolyOfn:
-    """The function pair of two sides, its slots set directly like _side's."""
-    x = object.__new__(cls)
-    _set_up(x, up)
-    _set_down(x, down)
-    return x
+        return cls._make(PiecewisePoly.affine(t.up_slope, t.up_offset),
+                         PiecewisePoly.affine(t.down_slope, t.down_offset))
 
 
 _COMBINERS = {"+": partial(_poly_zip, "+"), "-": partial(_poly_zip, "-"), "*": _poly_mul}
@@ -165,13 +142,13 @@ def _combine(star: str, p: tuple[float, ...], q: tuple[float, ...]) -> tuple[flo
 
 def combine_sides(star: str, a: PiecewisePoly, b: PiecewisePoly) -> PiecewisePoly:
     """Pointwise combination of two side functions; star is one of + - *."""
-    return _side(PiecewisePoly, _combine(star, a.coeffs[0], b.coeffs[0]))
+    return PiecewisePoly._make(_UNIT, (_combine(star, a.coeffs[0], b.coeffs[0]),))
 
 
 def k_op(star: str, x: PiecewisePolyOfn, y: PiecewisePolyOfn) -> PiecewisePolyOfn:
     """Side-for-side combination of two function-pair OFNs."""
-    return _pair(PiecewisePolyOfn, combine_sides(star, x.up, y.up),
-                 combine_sides(star, x.down, y.down))
+    return PiecewisePolyOfn._make(combine_sides(star, x.up, y.up),
+                                  combine_sides(star, x.down, y.down))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import Any, Iterable, Iterator
 
 from .bases import _Value, get_base
 from .errors import DomainError, NegativeCycle
-from .ring import EssentialTuple, TypedOfn, _result, _result_base, _typed_on
+from .ring import EssentialTuple, TypedOfn, _result, _result_base
 
 # (u, v, base tag, (up_slope, up_offset, down_slope, down_offset))
 Record = tuple[int, int, str, tuple[float, float, float, float]]
@@ -59,7 +59,7 @@ def ofn_min(x: TypedOfn, y: TypedOfn) -> TypedOfn:
 
 def _weight(tag: str, coeffs: tuple[float, float, float, float]) -> TypedOfn:
     """The TypedOfn of a record's checked tag and coefficients."""
-    return _typed_on(tag, tuple.__new__(EssentialTuple, coeffs))
+    return TypedOfn._make(tag, tuple.__new__(EssentialTuple, coeffs))
 
 
 class FuzzyDigraph(_Value):
@@ -140,9 +140,10 @@ def _digraph(nodes: int, records: Iterable[Record],
             elif tag != first[2]:
                 _result_base(_weight(*first[2:]), _weight(tag, r[3]))  # MixedTypeError
         kept.append(r)
+    fields = (nodes, first[2] if first else "identity", tuple(kept), edges)
     if g is None:
-        g = object.__new__(FuzzyDigraph)
-    _Value.__init__(g, nodes, first[2] if first else "identity", tuple(kept), edges)
+        return FuzzyDigraph._make(*fields)
+    _Value.__init__(g, *fields)
     return g
 
 
@@ -221,7 +222,7 @@ def shortest_paths(g: FuzzyDigraph, source: int) -> ShortestPathResult:
                     queue.append(v)
     _check_predecessor_tree(pred)
     distances = tuple(None if d is None else _result(b, *d) for d, b in zip(dist, bases))
-    return ShortestPathResult(source, distances, tuple(pred), scans, relaxations)
+    return ShortestPathResult._make(source, distances, tuple(pred), scans, relaxations)
 
 
 def _check_predecessor_tree(pred: list[int | None]) -> None:

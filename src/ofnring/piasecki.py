@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from .bases import IDENTITY, _Value
 from .errors import DivisionByZero, DomainError, MixedTypeError
-from .kosinski import (PiecewisePoly, PiecewisePolyOfn, _pair, combine_sides,
-                       k_is_proper)
+from .kosinski import PiecewisePoly, PiecewisePolyOfn, combine_sides, k_is_proper
 from .ring import OPERATORS, TypedOfn
 
 CONSTANT = "constant"
@@ -40,20 +39,11 @@ class TrapezoidCorners(_Value):
             raise MixedTypeError(
                 f"corner extraction needs the identity base, got {x.base!r}")
         t = x.coeffs
-        return _record(cls, t.up_offset, t.up_slope + t.up_offset,
-                       t.down_slope + t.down_offset, t.down_offset)
+        return cls._make(t.up_offset, t.up_slope + t.up_offset,
+                         t.down_slope + t.down_offset, t.down_offset)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
-
-
-def _record(cls: type, *fields: object):
-    """A record of class cls with these fields, its slots set directly: p_op
-    builds four per call."""
-    r = object.__new__(cls)
-    for set_slot, value in zip(cls._setters, fields):
-        set_slot(r, value)
-    return r
 
 
 class PiaseckiResult(_Value):
@@ -63,7 +53,7 @@ class PiaseckiResult(_Value):
     __slots__ = ("corners", "up_rule", "down_rule", "up_fn", "down_fn")
 
     def as_ofn(self) -> PiecewisePolyOfn:
-        return _pair(PiecewisePolyOfn, self.up_fn, self.down_fn)
+        return PiecewisePolyOfn._make(self.up_fn, self.down_fn)
 
 
 def _side_poly(star: str, xs: tuple[float, float], ys: tuple[float, float]) -> PiecewisePoly:
@@ -99,7 +89,7 @@ def p_op(star: str, x: TypedOfn, y: TypedOfn) -> PiaseckiResult:
         a_w, d_w = min(aa, bb), max(dd, cc)
     else:
         a_w, d_w = max(aa, bb), min(dd, cc)
-    corners = _record(TrapezoidCorners, a_w, bb, cc, d_w)
+    corners = TrapezoidCorners._make(a_w, bb, cc, d_w)
 
     tx, ty = x.coeffs, y.coeffs
     if a_w == bb:
@@ -114,7 +104,7 @@ def p_op(star: str, x: TypedOfn, y: TypedOfn) -> PiaseckiResult:
         down_rule = PRODUCT_FORM
         down_fn = _side_poly(star, (tx.down_slope, tx.down_offset),
                              (ty.down_slope, ty.down_offset))
-    return _record(PiaseckiResult, corners, up_rule, down_rule, up_fn, down_fn)
+    return PiaseckiResult._make(corners, up_rule, down_rule, up_fn, down_fn)
 
 
 def p_closure_check(r: PiaseckiResult) -> bool:

@@ -71,8 +71,8 @@ def classify(x: TypedOfn) -> ProprietyReport:
             crossing = max(g0, g1) > 0.0
         pathology = PATHOLOGY_III if crossing else PATHOLOGY_NONE
 
-    return ProprietyReport(pathology == PATHOLOGY_NONE, _orientation(identical, g0, g1),
-                           same_sign, crossing, pathology)
+    return ProprietyReport._make(pathology == PATHOLOGY_NONE, _orientation(identical, g0, g1),
+                                 same_sign, crossing, pathology)
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +192,12 @@ def membership_from_sides(up: Side, down: Side) -> MembershipFunction:
     core = Interval(*sorted((low_limits[1], high_limits[1])))
     supp = Interval(min(low_limits[0], core.lo), max(high_limits[0], core.hi))
     lower = None
-    if low.slope != 0.0:
-        lower = MembershipBranch(low, low_limits[0], core.lo)
+    if low.slope != 0.0:  # the one check MembershipBranch(...) makes
+        lower = MembershipBranch._make(low, low_limits[0], core.lo)
     upper = None
     if high.slope != 0.0:
-        upper = MembershipBranch(high, core.hi, high_limits[0])
-    return MembershipFunction(lower, upper, core, supp)
+        upper = MembershipBranch._make(high, core.hi, high_limits[0])
+    return MembershipFunction._make(lower, upper, core, supp)
 
 
 def membership(x: TypedOfn) -> MembershipFunction:

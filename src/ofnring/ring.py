@@ -29,12 +29,13 @@ typed() and its shorthands do both; the expression parser builds through
 typed().  Interval(...) applies the rule but for finiteness, since an end
 may be infinite.  The document loader resolves the tag to its registry
 record itself, checks the numbers through EssentialTuple(...), and joins the
-two with _typed_on, which looks nothing up again.  Ring results skip the
+two with TypedOfn._make, which looks nothing up again.  Ring results skip the
 checks: _result builds a number from components computed out of checked
 operands, so it tests them only for overflow (ArithmeticOverflow) and uses
-the operands' base tag as it is.  The sides of a number (up_side, down_side) are built
-unchecked too, by _side.  These three write the slots of a new value directly
-through the class's slot setters, which is cheaper than its __init__.
+the operands' base tag as it is.  The sides of a number (up_side, down_side)
+are built unchecked too, by Side._make.  TypedOfn(...) and Interval(...),
+which the parser and membership call on every number, set their two slots
+through the class's setters rather than through the generic __init__.
 """
 from __future__ import annotations
 
@@ -168,18 +169,6 @@ class Side(_Value):
                 self.slope * b.value_at_one + self.offset)
 
 
-_set_side_base, _set_slope, _set_offset = Side._setters
-
-
-def _side(base: str, slope: float, offset: float) -> Side:
-    """A Side of a number, whose base tag and coefficients are already checked."""
-    s = object.__new__(Side)
-    _set_side_base(s, base)
-    _set_slope(s, slope)
-    _set_offset(s, offset)
-    return s
-
-
 def _affine(b: BaseFunction, slope: float, offset: float, alpha: float) -> float:
     h = b.value(alpha)  # checks alpha, for a constant side too
     return offset if slope == 0.0 else slope * h + offset
@@ -200,10 +189,10 @@ class TypedOfn(_Value):
         return self.coeffs.up_slope == 0.0 and self.coeffs.down_slope == 0.0
 
     def up_side(self) -> Side:
-        return _side(self.base, self.coeffs.up_slope, self.coeffs.up_offset)
+        return Side._make(self.base, self.coeffs.up_slope, self.coeffs.up_offset)
 
     def down_side(self) -> Side:
-        return _side(self.base, self.coeffs.down_slope, self.coeffs.down_offset)
+        return Side._make(self.base, self.coeffs.down_slope, self.coeffs.down_offset)
 
     def __add__(self, other: "TypedOfn") -> "TypedOfn":
         return add(self, other)
@@ -222,14 +211,7 @@ class TypedOfn(_Value):
 
 
 _set_base, _set_coeffs = TypedOfn._setters
-
-
-def _typed_on(tag: str, coeffs: EssentialTuple) -> TypedOfn:
-    """TypedOfn(tag, coeffs) for a tag just taken from its registry record."""
-    x = object.__new__(TypedOfn)
-    _set_base(x, tag)
-    _set_coeffs(x, coeffs)
-    return x
+_make_typed = TypedOfn._make
 
 
 def typed(base: str, up_slope: float, up_offset: float,
@@ -362,18 +344,16 @@ def _result(base: str, up_slope: float, up_offset: float,
             down_slope: float, down_offset: float) -> TypedOfn:
     """A computed number; a component beyond the float range is ArithmeticOverflow.
 
-    The one unchecked constructor: the components come from checked operands,
-    so only their finiteness is tested, and `base` is already a registered tag.
+    The components come from checked operands, so only their finiteness is
+    tested, and `base` is already a registered tag.
     """
     if not (isfinite(up_slope) and isfinite(up_offset)
             and isfinite(down_slope) and isfinite(down_offset)):
         values = (up_slope, up_offset, down_slope, down_offset)
         name, v = next((n, v) for n, v in zip(_FIELDS, values) if not isfinite(v))
         raise ArithmeticOverflow(f"overflow: tuple component {name} must be finite, got {v!r}")
-    x = object.__new__(TypedOfn)
-    _set_base(x, base)
-    _set_coeffs(x, tuple.__new__(EssentialTuple, (up_slope, up_offset, down_slope, down_offset)))
-    return x
+    return _make_typed(base, tuple.__new__(EssentialTuple,
+                                           (up_slope, up_offset, down_slope, down_offset)))
 
 
 def add(x: TypedOfn, y: TypedOfn) -> TypedOfn:

@@ -8,7 +8,7 @@ so a child interpreter that imports the package and runs CLI commands must
 not load it; `zadeh_add_grid` loads it when called.  The oracle modules, the
 demo and the SVG writer load on first use too, so `eval`, `classify` and
 `graph` leave them unloaded, while every public name still resolves.  The
-package's record classes share one frozen base and generate no code, so those
+package's record classes share one frozen base and compile no code, so those
 commands load neither `dataclasses` nor `inspect`, which cost about 12 ms of
 start-up together.
 """

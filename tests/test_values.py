@@ -2,14 +2,18 @@
 
 The record classes share one frozen base: read-only fields, equality and
 hashing by field within one class, a Name(field=value, ...) repr, keyword and
-positional construction alike, and pickling and copying through the
-constructor.
+positional construction alike, pickling and copying through the constructor,
+and an unchecked _make that builds what the constructor builds.  Only the
+base allocates a record without its constructor.
 """
+import ast
 import copy
+import pathlib
 import pickle
 
 import pytest
 
+import ofnring
 from ofnring import (IDENTITY, SQRT, BaseFunction, EssentialTuple,
                      FunctionProprietyReport, FuzzyDigraph, Interval, LRFuzzyNumber,
                      MembershipBranch, MembershipFunction, PiaseckiResult, PiecewisePoly,
@@ -98,6 +102,34 @@ def test_repr_names_the_fields_in_order(cls):
 def test_keywords_and_positions_build_the_same_value(cls):
     by_position = cls(*arguments(cls).values())
     assert by_position == build(cls) and repr(by_position) == repr(build(cls))
+
+
+@classes
+def test_make_builds_what_the_constructor_builds(cls):
+    if cls is BaseFunction:  # ten slots, built once per registration
+        assert not hasattr(cls, "_make")
+        return
+    twin = type(cls.__name__, (cls,), {})  # adds no slot: its _make must build a twin
+    for c in (cls, twin):
+        x = c(**arguments(cls))
+        made = c._make(*(getattr(x, name) for name in cls.__slots__))
+        assert type(made) is c and made == x
+        assert repr(made) == repr(x) and hash(made) == hash(x)
+
+
+def test_only_the_base_allocates_records():
+    # object.__new__ is called in bases.py alone; `_setters` is read there and
+    # by the two checked constructors that set their slots directly
+    readers = {("ring.py", "Interval"), ("ring.py", "TypedOfn")}
+    for path in pathlib.Path(ofnring.__file__).parent.glob("*.py"):
+        if path.name == "bases.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                owner = getattr(node.value, "id", None)
+                where = f"{path.name}:{node.lineno}"
+                assert (owner, node.attr) != ("object", "__new__"), where
+                assert node.attr != "_setters" or (path.name, owner) in readers, where
 
 
 def test_base_function_defaults():
