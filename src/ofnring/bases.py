@@ -42,8 +42,10 @@ class _Value:
     class and their fields are equal, and equal values hash alike; the repr is
     Name(field=value, ...), and pickling and copying call the class with the
     fields in order.  __init__ sets the slots in order, from arguments given
-    by position or by slot name; a class that checks its arguments writes its
-    own.  `_setters` holds one setter per slot.
+    by position or by slot name; a class that checks its arguments checks
+    them in its own __init__ and then calls this one.  `_setters` holds one
+    setter per slot, and only this class and _make use them: no other code
+    writes a record's slots.
 
     A class of two to five slots also has `_make(*slots)`, which sets the
     slots in order and checks nothing, at about the cost of setting them by
@@ -203,7 +205,7 @@ def _validate(b: BaseFunction) -> None:
             if not b.increasing and not v < prev:
                 raise DomainError(f"{b.tag}: h is not strictly decreasing near {alpha}")
         prev = v
-    if abs(b.func(1.0) - b.value_at_one) > 1e-12:
+    if not abs(b.func(1.0) - b.value_at_one) <= 1e-12:  # a NaN fails too
         raise DomainError(f"{b.tag}: value_at_one does not match h(1)")
     if not math.isinf(b.limit_at_zero):
         # the recorded limit must continue the sweep's direction
@@ -215,7 +217,7 @@ def _validate(b: BaseFunction) -> None:
     for k in range(1, 101):
         alpha = k / 100
         back = b.inverse_func(b.func(alpha))
-        if abs(back - alpha) > 1e-9:
+        if not abs(back - alpha) <= 1e-9:
             raise DomainError(f"{b.tag}: inverse round trip fails at alpha={alpha}")
 
 

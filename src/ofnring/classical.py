@@ -18,7 +18,7 @@ from math import isfinite
 
 from .bases import _Value
 from .errors import ArithmeticOverflow, DomainError, ImproperError, MixedTypeError
-from .ring import Interval, TypedOfn, _number, level_set
+from .ring import Interval, TypedOfn, _number
 from .propriety import classify
 
 _CORNERS = ("corner support_lo", "corner core_lo", "corner core_hi", "corner support_hi")

@@ -13,8 +13,9 @@ A graph document is {"nodes": n, "edges": [{"from": u, "to": v,
 "weight": <ofn document>}]}, with n at most MAX_NODES: a shortest-path run
 allocates a distance and a predecessor slot per node.  The graph loader keeps
 each weight as the plain record (u, v, tag, four floats) that FuzzyDigraph
-stores; it builds no TypedOfn.  FuzzyDigraph's constructor then checks node
-range and mixed bases.
+stores; it builds no TypedOfn.  The graph builder that FuzzyDigraph(...)
+also uses then checks node range and mixed bases, and FuzzyDigraph._make
+joins the fields it returns.
 """
 from __future__ import annotations
 
@@ -100,7 +101,7 @@ def graph_from_doc(doc: Any) -> FuzzyDigraph:
             raise DocumentError("edge endpoints must be integers")
         tag, coeffs = _checked_weight(e["weight"])
         records.append((u, v, tag, coeffs))
-    return _digraph(doc["nodes"], records)
+    return FuzzyDigraph._make(*_digraph(doc["nodes"], records))
 
 
 def load_graph(path: str) -> FuzzyDigraph:

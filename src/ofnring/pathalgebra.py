@@ -18,7 +18,7 @@ A FuzzyDigraph keeps each weight as a plain record
 (u, v, tag, (up_slope, up_offset, down_slope, down_offset)), and the search
 adds and ranks those four floats directly: it builds a TypedOfn only for each
 final distance.  The edges attribute, (u, v, TypedOfn) triples, is built from
-the records on first read.
+the records on each read.
 """
 from __future__ import annotations
 
@@ -70,7 +70,7 @@ class FuzzyDigraph(_Value):
     of the fields nodes, edges and base.
     """
 
-    __slots__ = ("nodes", "base", "_records", "_edges")
+    __slots__ = ("nodes", "base", "_records")
     _fields = ("nodes", "edges", "base")
 
     def __init__(self, nodes: int, edges: Iterable[tuple[int, int, TypedOfn]]) -> None:
@@ -80,15 +80,12 @@ class FuzzyDigraph(_Value):
             edges = tuple(edges)
         except TypeError:
             raise DomainError(f"edges must be (u, v, weight) triples, got {edges!r}") from None
-        _digraph(nodes, _checked_records(nodes, edges), edges, self)
+        _Value.__init__(self, *_digraph(nodes, _checked_records(nodes, edges)))
 
     @property
     def edges(self) -> tuple[tuple[int, int, TypedOfn], ...]:
-        """The (u, v, TypedOfn) triples, built from the records on first read."""
-        if self._edges is None:
-            object.__setattr__(self, "_edges", tuple(
-                (u, v, _weight(tag, c)) for u, v, tag, c in self._records))
-        return self._edges
+        """The (u, v, TypedOfn) triples, built from the records on each read."""
+        return tuple((u, v, _weight(tag, c)) for u, v, tag, c in self._records)
 
     def __reduce__(self):
         return (FuzzyDigraph, (self.nodes, self.edges))
@@ -116,15 +113,12 @@ def _checked_records(nodes: int, edges: tuple[Any, ...]) -> Iterator[Record]:
         yield u, v, w.base, tuple(w.coeffs)
 
 
-def _digraph(nodes: int, records: Iterable[Record],
-             edges: tuple[tuple[int, int, TypedOfn], ...] | None = None,
-             g: FuzzyDigraph | None = None) -> FuzzyDigraph:
-    """The graph of records whose endpoints are ints and whose weights are checked.
+def _digraph(nodes: int, records: Iterable[Record]) -> tuple[int, str, tuple[Record, ...]]:
+    """The fields (nodes, base, records) of a graph of checked records.
 
-    Checks the node count, then each record's node range and base in order;
-    the first weight with a slope fixes the base.  `edges`, when given, are
-    the triples the records came from.  The slots are written into `g` when
-    it is given, and into a new graph otherwise.
+    A record's endpoints are ints and its weight is checked.  Checks the node
+    count, then each record's node range and base in order; the first weight
+    with a slope fixes the base.
     """
     if nodes < 1:
         raise DomainError("a digraph needs at least one node")
@@ -140,11 +134,7 @@ def _digraph(nodes: int, records: Iterable[Record],
             elif tag != first[2]:
                 _result_base(_weight(*first[2:]), _weight(tag, r[3]))  # MixedTypeError
         kept.append(r)
-    fields = (nodes, first[2] if first else "identity", tuple(kept), edges)
-    if g is None:
-        return FuzzyDigraph._make(*fields)
-    _Value.__init__(g, *fields)
-    return g
+    return nodes, first[2] if first else "identity", tuple(kept)
 
 
 class ShortestPathResult(_Value):

@@ -188,9 +188,11 @@ def membership_from_sides(up: Side, down: Side) -> MembershipFunction:
     if g1 < 0.0:
         raise ImproperError("sides overlap beyond the core")
     low_limits, high_limits = low.value_limits(), high.value_limits()
-    # at a tie the separately evaluated core ends may cross by rounding
-    core = Interval(*sorted((low_limits[1], high_limits[1])))
-    supp = Interval(min(low_limits[0], core.lo), max(high_limits[0], core.hi))
+    # at a tie the separately evaluated core ends may cross by rounding; both
+    # intervals are ordered here, and register_base refuses a base whose h(1)
+    # or limit is NaN, so they pass what Interval(...) would check
+    core = Interval._make(*sorted((low_limits[1], high_limits[1])))
+    supp = Interval._make(min(low_limits[0], core.lo), max(high_limits[0], core.hi))
     lower = None
     if low.slope != 0.0:  # the one check MembershipBranch(...) makes
         lower = MembershipBranch._make(low, low_limits[0], core.lo)

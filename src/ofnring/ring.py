@@ -24,18 +24,20 @@ coefficients when a difference would overflow.
 One number rule checks each coefficient a caller passes in: an int or a float,
 not a bool, whose float value is finite, so an int beyond the float range is
 refused, and the float is what is kept.  EssentialTuple(...), Side(...) and
-scalar_mul() apply it, TypedOfn(...) requires a registered base tag, and
-typed() and its shorthands do both; the expression parser builds through
-typed().  Interval(...) applies the rule but for finiteness, since an end
-may be infinite.  The document loader resolves the tag to its registry
+scalar_mul() apply it.  TypedOfn(...) requires a registered base tag and an
+EssentialTuple, whose numbers have passed the rule.  typed() and its
+shorthands check the numbers with EssentialTuple(...) and the tag with
+get_base, then build through TypedOfn._make; the expression parser builds
+through typed().  Interval(...) applies the rule but for finiteness, since an
+end may be infinite.  The document loader resolves the tag to its registry
 record itself, checks the numbers through EssentialTuple(...), and joins the
 two with TypedOfn._make, which looks nothing up again.  Ring results skip the
 checks: _result builds a number from components computed out of checked
 operands, so it tests them only for overflow (ArithmeticOverflow) and uses
 the operands' base tag as it is.  The sides of a number (up_side, down_side)
-are built unchecked too, by Side._make.  TypedOfn(...) and Interval(...),
-which the parser and membership call on every number, set their two slots
-through the class's setters rather than through the generic __init__.
+are built unchecked too, by Side._make.  Each checked constructor checks its
+arguments and then sets the slots through the generic _Value.__init__; code
+that builds from values it has already checked calls the class's _make.
 """
 from __future__ import annotations
 
@@ -112,10 +114,7 @@ class Interval(_Value):
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: float, hi: float) -> None:
-        if lo.__class__ is not float or hi.__class__ is not float or not lo <= hi:
-            lo, hi = _endpoints(lo, hi)  # floats in order pass inline
-        _set_lo(self, lo)
-        _set_hi(self, hi)
+        _Value.__init__(self, *_endpoints(lo, hi))
 
     def contains_value(self, v: float) -> bool:
         return self.lo <= v <= self.hi
@@ -123,9 +122,6 @@ class Interval(_Value):
     def encloses(self, other: "Interval") -> bool:
         """True when `other` is a subset of self."""
         return self.lo <= other.lo and other.hi <= self.hi
-
-
-_set_lo, _set_hi = Interval._setters
 
 
 def _endpoints(lo: object, hi: object) -> tuple[float, float]:
@@ -179,10 +175,11 @@ class TypedOfn(_Value):
 
     __slots__ = ("base", "coeffs")
 
-    def __init__(self, base: str, coeffs: EssentialTuple):
+    def __init__(self, base: str, coeffs: EssentialTuple) -> None:
         get_base(base)
-        _set_base(self, base)
-        _set_coeffs(self, coeffs)
+        if not isinstance(coeffs, EssentialTuple):
+            raise DomainError(f"coeffs must be an EssentialTuple, got {coeffs!r}")
+        _Value.__init__(self, base, coeffs)
 
     @property
     def is_rectangular(self) -> bool:
@@ -210,13 +207,14 @@ class TypedOfn(_Value):
         return neg(self)
 
 
-_set_base, _set_coeffs = TypedOfn._setters
 _make_typed = TypedOfn._make
 
 
 def typed(base: str, up_slope: float, up_offset: float,
           down_slope: float, down_offset: float) -> TypedOfn:
-    return TypedOfn(base, EssentialTuple(up_slope, up_offset, down_slope, down_offset))
+    coeffs = EssentialTuple(up_slope, up_offset, down_slope, down_offset)
+    get_base(base)
+    return _make_typed(base, coeffs)
 
 
 def trapezoid(up_slope: float, up_offset: float,

@@ -134,31 +134,50 @@ def test_register_duplicate_tag():
 
 
 def test_register_rejects_non_monotone():
-    with pytest.raises(DomainError):
-        register_base(BaseFunction(
-            tag="bump", func=lambda a: a * (1.0 - a), inverse_func=lambda t: t,
-            increasing=True, limit_at_zero=0.0, value_at_one=0.0, integral=1 / 6))
+    refused = [
+        ("bump", lambda a: a * (1.0 - a), True, 0.0, "not strictly increasing"),
+        ("rising", lambda a: a, False, 1.0, "not strictly decreasing"),
+        ("pole", lambda a: a if a < 0.5 else math.inf, True, math.inf, "is not finite"),
+    ]
+    for tag, func, increasing, value_at_one, found in refused:
+        with pytest.raises(DomainError, match=found):
+            register_base(BaseFunction(
+                tag=tag, func=func, inverse_func=lambda t: t, increasing=increasing,
+                limit_at_zero=0.0, value_at_one=value_at_one, integral=0.5))
+        assert tag not in available_tags()
 
 
 def test_register_rejects_wrong_endpoint():
-    with pytest.raises(DomainError):
-        register_base(BaseFunction(
-            tag="offby", func=lambda a: a, inverse_func=lambda t: t,
-            increasing=True, limit_at_zero=0.0, value_at_one=2.0, integral=0.5))
+    # a NaN value at 1 would make membership() fail on a number classify calls proper
+    for value_at_one in (2.0, math.nan):
+        with pytest.raises(DomainError, match="value_at_one does not match"):
+            register_base(BaseFunction(
+                tag="offby", func=lambda a: a, inverse_func=lambda t: t,
+                increasing=True, limit_at_zero=0.0, value_at_one=value_at_one,
+                integral=0.5))
+        assert "offby" not in available_tags()
 
 
 def test_register_rejects_bad_inverse():
-    with pytest.raises(DomainError):
-        register_base(BaseFunction(
-            tag="badinv", func=lambda a: a, inverse_func=lambda t: t + 0.1,
-            increasing=True, limit_at_zero=0.0, value_at_one=1.0, integral=0.5))
+    # an inverse that gives NaN would put a membership of 0 inside the support
+    for inverse_func in (lambda t: t + 0.1, lambda t: math.nan):
+        with pytest.raises(DomainError, match="inverse round trip fails"):
+            register_base(BaseFunction(
+                tag="badinv", func=lambda a: a, inverse_func=inverse_func,
+                increasing=True, limit_at_zero=0.0, value_at_one=1.0, integral=0.5))
+        assert "badinv" not in available_tags()
 
 
 def test_register_rejects_wrong_limit_direction():
-    with pytest.raises(DomainError):
-        register_base(BaseFunction(
-            tag="badlim", func=lambda a: a, inverse_func=lambda t: t,
-            increasing=True, limit_at_zero=0.5, value_at_one=1.0, integral=0.5))
+    # h is its own inverse; h(0.001) is 0.001 when h rises and -0.001 when it falls
+    for func, increasing, limit_at_zero, value_at_one in ((lambda a: a, True, 0.5, 1.0),
+                                                          (lambda a: -a, False, -0.5, -1.0)):
+        with pytest.raises(DomainError, match="limit_at_zero inconsistent"):
+            register_base(BaseFunction(
+                tag="badlim", func=func, inverse_func=func,
+                increasing=increasing, limit_at_zero=limit_at_zero,
+                value_at_one=value_at_one, integral=0.5))
+        assert "badlim" not in available_tags()
 
 
 @pytest.mark.parametrize("integral", [math.inf, math.nan])

@@ -264,15 +264,22 @@ def test_sources_and_cycles():
 
 
 def test_cycle_that_rounding_hides_is_negative():
-    # the exact weight sums of the cycles are -2**-55 and -2**-54; relaxing in
-    # floats improves the source of the first, and leaves the second as a cycle
-    # of predecessors once no edge improves any more
+    # the exact weight sums of the cycles are -2**-55, -2**-54 and -2**-53.
+    # Relaxing in floats improves the source of the first, and goes on
+    # improving the second until a walk has as many edges as the graph has
+    # nodes.  The third improves node 1 once, to 1 - 2**-53, and then
+    # 1.5 - 2**-53 rounds back to 1.5 at node 2: no edge improves any more,
+    # and only the final check finds the cycle of predecessors it leaves.
     through_source = FuzzyDigraph(3, ((0, 1, crisp(0.3)), (1, 2, crisp(-0.1)),
                                       (2, 0, crisp(-0.2))))
     off_source = FuzzyDigraph(4, ((0, 1, crisp(0.7)), (1, 2, crisp(0.2)),
                                   (2, 3, crisp(-0.8)), (3, 1, crisp(0.6))))
-    for g in (through_source, off_source):
-        with pytest.raises(NegativeCycle):
+    left_in_predecessors = FuzzyDigraph(4, ((0, 1, crisp(1.0)), (1, 2, crisp(0.5)),
+                                            (2, 1, crisp(-0.5 - 2**-53))))
+    for g, found in ((through_source, "relaxation keeps improving"),
+                     (off_source, "relaxation keeps improving"),
+                     (left_in_predecessors, "predecessors cycle through node 1")):
+        with pytest.raises(NegativeCycle, match=found):
             shortest_paths(g, 0)
 
 

@@ -177,6 +177,14 @@ def test_unknown_base_rejected():
         Side("unregistered", 1.0, 0.0)
 
 
+@pytest.mark.parametrize("coeffs", [(1.0, 0.0, -1.0, 2.0), [1, 0, -1, 2], "abcd", None])
+def test_typed_ofn_takes_only_an_essential_tuple(coeffs):
+    # anything else would reach classify without up_slope, or make the value
+    # unhashable
+    with pytest.raises(DomainError, match="^coeffs must be an EssentialTuple"):
+        TypedOfn(IDENTITY, coeffs)
+
+
 def test_rectangular_and_crisp():
     r = rectangular(1.0, 2.0)
     assert r.is_rectangular

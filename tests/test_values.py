@@ -100,8 +100,13 @@ def test_repr_names_the_fields_in_order(cls):
 
 @classes
 def test_keywords_and_positions_build_the_same_value(cls):
-    by_position = cls(*arguments(cls).values())
+    args = arguments(cls)
+    by_position = cls(*args.values())
     assert by_position == build(cls) and repr(by_position) == repr(build(cls))
+    with pytest.raises(TypeError, match="missing"):  # the first argument
+        cls(**dict(list(args.items())[1:]))
+    with pytest.raises(TypeError, match="takes"):  # one argument too many
+        cls(*args.values(), None)
 
 
 @classes
@@ -118,9 +123,8 @@ def test_make_builds_what_the_constructor_builds(cls):
 
 
 def test_only_the_base_allocates_records():
-    # object.__new__ is called in bases.py alone; `_setters` is read there and
-    # by the two checked constructors that set their slots directly
-    readers = {("ring.py", "Interval"), ("ring.py", "TypedOfn")}
+    # bases.py alone calls object.__new__ and object.__setattr__ and reads
+    # `_setters`: a checked constructor calls _Value.__init__, other code _make
     for path in pathlib.Path(ofnring.__file__).parent.glob("*.py"):
         if path.name == "bases.py":
             continue
@@ -128,8 +132,9 @@ def test_only_the_base_allocates_records():
             if isinstance(node, ast.Attribute):
                 owner = getattr(node.value, "id", None)
                 where = f"{path.name}:{node.lineno}"
-                assert (owner, node.attr) != ("object", "__new__"), where
-                assert node.attr != "_setters" or (path.name, owner) in readers, where
+                assert (owner, node.attr) not in {("object", "__new__"),
+                                                  ("object", "__setattr__")}, where
+                assert node.attr != "_setters", where
 
 
 def test_base_function_defaults():
