@@ -11,11 +11,18 @@ record), then the four numbers through EssentialTuple's number rule, so the
 first fault found is the same either way.
 A graph document is {"nodes": n, "edges": [{"from": u, "to": v,
 "weight": <ofn document>}]}, with n at most MAX_NODES: a shortest-path run
-allocates a distance and a predecessor slot per node.  The graph loader keeps
-each weight as the plain record (u, v, tag, four floats) that FuzzyDigraph
-stores; it builds no TypedOfn.  The graph builder that FuzzyDigraph(...)
-also uses then checks node range and mixed bases, and FuzzyDigraph._make
-joins the fields it returns.
+allocates a distance and a predecessor slot per node.  The graph loader makes
+one pass over the edges and keeps each as the flat record
+(u, v, tag, four floats) that FuzzyDigraph stores, one tuple per edge; it
+builds no TypedOfn.  It decides the common edge at once: a plain dict of the
+three keys, plain int endpoints and a common weight, the last by the weight
+check's own test, written out in the loop.  Any other edge gets the full
+checks.  The same pass notes whether an endpoint leaves the node range or a
+sloped weight's base differs from the first one's.  When neither happened,
+FuzzyDigraph._make joins the fields at once; else the graph builder that
+FuzzyDigraph(...) also uses walks the records again and raises the first such
+fault.  A fault in the loading itself is raised where it is met, so it wins
+over a range or base fault on an earlier edge.
 """
 from __future__ import annotations
 
@@ -25,7 +32,7 @@ from typing import Any
 
 from .bases import _REGISTRY, base_named, get_base
 from .errors import DocumentError, DomainError
-from .pathalgebra import FuzzyDigraph, _digraph, _weight
+from .pathalgebra import FuzzyDigraph, Record, _digraph, _weight
 from .ring import EssentialTuple, TypedOfn
 
 MAX_NODES = 10**6
@@ -85,23 +92,56 @@ def graph_from_doc(doc: Any) -> FuzzyDigraph:
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), int) \
             or isinstance(doc.get("nodes"), bool):
         raise DocumentError('graph document needs an integer "nodes" field')
-    if doc["nodes"] > MAX_NODES:
+    nodes = doc["nodes"]
+    if nodes > MAX_NODES:
         raise DocumentError(f'"nodes" exceeds the cap of {MAX_NODES}')
     edges_doc = doc.get("edges")
     if not isinstance(edges_doc, list):
         raise DocumentError('graph document needs an "edges" list')
+    doc_tags = _REGISTRY["doc_tag"]
     records = []
+    first = None  # the tag of the first weight with a slope
+    clean = nodes >= 1  # no node-count, node-range or mixed-base fault so far
     for e in edges_doc:
-        if not (isinstance(e, dict) and "from" in e and "to" in e and "weight" in e):
-            raise DocumentError('each edge needs "from", "to" and "weight"')
-        u, v = e["from"], e["to"]
-        if (u.__class__ is not int or v.__class__ is not int) and (
-                isinstance(u, bool) or isinstance(v, bool)
-                or not isinstance(u, int) or not isinstance(v, int)):
-            raise DocumentError("edge endpoints must be integers")
-        tag, coeffs = _checked_weight(e["weight"])
-        records.append((u, v, tag, coeffs))
-    return FuzzyDigraph._make(*_digraph(doc["nodes"], records))
+        r = None
+        if e.__class__ is dict and len(e) == 3:  # the common edge, decided at once
+            u, v, w = e.get("from"), e.get("to"), e.get("weight")
+            if u.__class__ is int and v.__class__ is int and w.__class__ is dict and len(w) == 2:
+                # _checked_weight's common case, inlined: this runs once per edge
+                tag, tup = w.get("base"), w.get("tuple")
+                if (tag.__class__ is str and tup.__class__ is list and len(tup) == 4
+                        and (b := doc_tags.get(tag)) is not None):
+                    a0, a1, a2, a3 = tup
+                    if (a0.__class__ is a1.__class__ is a2.__class__ is a3.__class__ is float
+                            and isfinite(a0 + a1 + a2 + a3)):
+                        tag = b.tag
+                        r = (u, v, tag, a0, a1, a2, a3)
+        if r is None:
+            r = _checked_edge(e)
+            u, v, tag, a0, _, a2, _ = r
+        if not (0 <= u < nodes and 0 <= v < nodes):
+            clean = False
+        if a0 != 0.0 or a2 != 0.0:
+            if first is None:
+                first = tag
+            elif tag != first:
+                clean = False
+        records.append(r)
+    if clean:
+        return FuzzyDigraph._make(nodes, "identity" if first is None else first, tuple(records))
+    return FuzzyDigraph._make(*_digraph(nodes, records))  # raises the first such fault
+
+
+def _checked_edge(e: Any) -> Record:
+    """The record of an edge document, through the full checks."""
+    if not (isinstance(e, dict) and "from" in e and "to" in e and "weight" in e):
+        raise DocumentError('each edge needs "from", "to" and "weight"')
+    u, v = e["from"], e["to"]
+    if isinstance(u, bool) or isinstance(v, bool) \
+            or not isinstance(u, int) or not isinstance(v, int):
+        raise DocumentError("edge endpoints must be integers")
+    tag, (c0, c1, c2, c3) = _checked_weight(e["weight"])
+    return u, v, tag, c0, c1, c2, c3
 
 
 def load_graph(path: str) -> FuzzyDigraph:

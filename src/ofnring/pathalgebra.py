@@ -14,24 +14,27 @@ again.  The order is translation-invariant under ring addition, so a walk
 that repeats a node improves a distance only by going round a negative cycle,
 and a distance whose walk has as many edges as the graph has nodes marks one.
 
-A FuzzyDigraph keeps each weight as a plain record
-(u, v, tag, (up_slope, up_offset, down_slope, down_offset)), and the search
-adds and ranks those four floats directly: it builds a TypedOfn only for each
+A FuzzyDigraph keeps each edge as one flat record
+(u, v, tag, up_slope, up_offset, down_slope, down_offset), a single tuple, and
+compares and hashes by those records.  The search adds and ranks the four
+floats directly and keeps each distance as four floats in four lists: it
+builds a tuple only to break an exact rank tie, and a TypedOfn only for each
 final distance.  The edges attribute, (u, v, TypedOfn) triples, is built from
-the records on each read.
+the records on each read, for repr and pickling.
 """
 from __future__ import annotations
 
 from collections import deque
 from math import inf
+from operator import attrgetter
 from typing import Any, Iterable, Iterator
 
 from .bases import _Value, get_base
 from .errors import DomainError, NegativeCycle
 from .ring import EssentialTuple, TypedOfn, _result, _result_base
 
-# (u, v, base tag, (up_slope, up_offset, down_slope, down_offset))
-Record = tuple[int, int, str, tuple[float, float, float, float]]
+# (u, v, base tag, up_slope, up_offset, down_slope, down_offset)
+Record = tuple[int, int, str, float, float, float, float]
 
 
 def _is_index(x: object) -> bool:
@@ -62,12 +65,17 @@ def _weight(tag: str, coeffs: tuple[float, float, float, float]) -> TypedOfn:
     return TypedOfn._make(tag, tuple.__new__(EssentialTuple, coeffs))
 
 
+# what FuzzyDigraph equality and hash read: the records stand for the edges
+_compared = attrgetter("nodes", "base", "_records")
+
+
 class FuzzyDigraph(_Value):
     """A digraph whose edges carry typed-OFN weights on one common base.
 
     FuzzyDigraph(nodes, edges) takes (u, v, TypedOfn) triples; a node number
-    is an int and not a bool.  Immutable; repr, equality and hash are those
-    of the fields nodes, edges and base.
+    is an int and not a bool.  Immutable; the repr is that of the fields
+    nodes, edges and base, while equality and hash read nodes, base and the
+    records, which are equal exactly when the edges are.
     """
 
     __slots__ = ("nodes", "base", "_records")
@@ -85,7 +93,15 @@ class FuzzyDigraph(_Value):
     @property
     def edges(self) -> tuple[tuple[int, int, TypedOfn], ...]:
         """The (u, v, TypedOfn) triples, built from the records on each read."""
-        return tuple((u, v, _weight(tag, c)) for u, v, tag, c in self._records)
+        return tuple((u, v, _weight(tag, c)) for u, v, tag, *c in self._records)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return _compared(self) == _compared(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(_compared(self))
 
     def __reduce__(self):
         return (FuzzyDigraph, (self.nodes, self.edges))
@@ -110,7 +126,7 @@ def _checked_records(nodes: int, edges: tuple[Any, ...]) -> Iterator[Record]:
             raise DomainError(f"edge ({u}, {v}) leaves the node range")
         if not isinstance(w, TypedOfn):
             raise DomainError(f"edge ({u}, {v}) has a weight that is not a TypedOfn")
-        yield u, v, w.base, tuple(w.coeffs)
+        yield (u, v, w.base, *w.coeffs)
 
 
 def _digraph(nodes: int, records: Iterable[Record]) -> tuple[int, str, tuple[Record, ...]]:
@@ -125,14 +141,14 @@ def _digraph(nodes: int, records: Iterable[Record]) -> tuple[int, str, tuple[Rec
     kept = []
     first = None
     for r in records:
-        u, v, tag, (up_slope, _, down_slope, _) = r
+        u, v, tag, up_slope, _, down_slope, _ = r
         if not (0 <= u < nodes and 0 <= v < nodes):
             raise DomainError(f"edge ({u}, {v}) leaves the node range")
         if up_slope != 0.0 or down_slope != 0.0:
             if first is None:
                 first = r
             elif tag != first[2]:
-                _result_base(_weight(*first[2:]), _weight(tag, r[3]))  # MixedTypeError
+                _result_base(_weight(first[2], first[3:]), _weight(tag, r[3:]))  # MixedTypeError
         kept.append(r)
     return nodes, first[2] if first else "identity", tuple(kept)
 
@@ -176,42 +192,59 @@ def shortest_paths(g: FuzzyDigraph, source: int) -> ShortestPathResult:
     out: list[list[Record]] = [[] for _ in range(n)]
     for r in g._records:
         out[r[0]].append(r)
-    dist: list[tuple[float, float, float, float] | None] = [None] * n
-    keys: list[float | None] = [None] * n  # the rank of dist[v], kept beside it
+    # dist[v] as its four components, one list each, and every store its own
+    # statement, so an improvement builds no tuple; keys[v] is the rank of
+    # dist[v], None while v is unreached
+    dist0, dist1, dist2, dist3 = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
+    keys: list[float | None] = [None] * n
     bases: list[str | None] = [None] * n
     pred: list[int | None] = [None] * n
     hops = [0] * n  # edges on the walk that gave dist[v]
     queued = [False] * n
-    dist[source], keys[source], bases[source] = (0.0, 0.0, 0.0, 0.0), 0.0, gbase
+    keys[source], bases[source] = 0.0, gbase
     queue = deque([source])
     queued[source] = True
     scans = relaxations = 0
     while queue:
         u = queue.popleft()
         queued[u] = False
-        d0, d1, d2, d3 = dist[u]
+        d0 = dist0[u]
+        d1 = dist1[u]
+        d2 = dist2[u]
+        d3 = dist3[u]
         # add's base: the weight's when the distance is rectangular, else the
         # graph's, which every weight with a slope shares
         ubase = gbase if d0 != 0.0 or d2 != 0.0 else None
         h, edges = hops[u] + 1, out[u]
         scans += 1
         relaxations += len(edges)
-        for _, v, tag, (w0, w1, w2, w3) in edges:
-            c0, c1, c2, c3 = d0 + w0, d1 + w1, d2 + w2, d3 + w3
+        for _, v, tag, w0, w1, w2, w3 in edges:
+            c0 = d0 + w0
+            c1 = d1 + w1
+            c2 = d2 + w2
+            c3 = d3 + w3
             kc = (0.5 * c0 + 0.5 * c2) * integral + (0.5 * c1 + 0.5 * c3)
             if not -inf < kc < inf:  # an overflowed component raises here
                 _result(ubase or tag, c0, c1, c2, c3)
             kv = keys[v]
-            if kv is None or kc < kv or (kc == kv and (c0, c1, c2, c3) < dist[v]):
+            if kv is None or kc < kv or (kc == kv and (c0, c1, c2, c3)
+                                          < (dist0[v], dist1[v], dist2[v], dist3[v])):
                 if v == source or h >= n:
                     raise NegativeCycle("relaxation keeps improving; negative-rank cycle")
-                dist[v], keys[v], bases[v], pred[v], hops[v] = \
-                    (c0, c1, c2, c3), kc, ubase or tag, u, h
+                dist0[v] = c0
+                dist1[v] = c1
+                dist2[v] = c2
+                dist3[v] = c3
+                keys[v] = kc
+                bases[v] = ubase or tag
+                pred[v] = u
+                hops[v] = h
                 if not queued[v]:
                     queued[v] = True
                     queue.append(v)
     _check_predecessor_tree(pred)
-    distances = tuple(None if d is None else _result(b, *d) for d, b in zip(dist, bases))
+    distances = tuple(None if k is None else _result(b, d0, d1, d2, d3)
+                      for k, b, d0, d1, d2, d3 in zip(keys, bases, dist0, dist1, dist2, dist3))
     return ShortestPathResult._make(source, distances, tuple(pred), scans, relaxations)
 
 

@@ -119,7 +119,8 @@ def _bad_weight(rng, tag):
 
 
 def _edge(rng, nodes, tag, bad):
-    e = {"from": rng.randrange(nodes), "to": Slot(rng.randrange(min(nodes, 3))),
+    to = rng.randrange(min(nodes, 3))
+    e = {"from": rng.randrange(nodes), "to": Slot(to) if rng.random() < 0.5 else to,
          "weight": _weight(rng, tag)}
     if rng.random() < 0.3:  # a rectangular weight on any base fits a typed graph
         e["weight"] = _weight(rng, rng.choice(DOC_TAGS + (Tag(tag),)), slopes=False)
@@ -283,8 +284,8 @@ def _exact(load, doc):
     except Exception as e:
         return type(e), str(e)
     if isinstance(got, FuzzyDigraph):
-        return got.base, [(u.__class__, u, v.__class__, v, w.base, _hexes(w))
-                          for u, v, w in got.edges]
+        return got.nodes, got.base, [(u.__class__, u, v.__class__, v, w.base, _hexes(w))
+                                     for u, v, w in got.edges]
     return got.base, _hexes(got)
 
 
@@ -298,7 +299,7 @@ def test_near_misses_of_the_common_weight_load_as_the_reference_does():
     for name, w in cases.items():
         got = _exact(ofn_from_doc, w)
         assert got == _exact(reference_ofn_from_doc, w), name
-        if isinstance(got[1], list):
+        if isinstance(got[-1], list):
             loaded.add(name)
         for u, v in ((0, 1), (True, 1), (0, False), (Slot.ONE, 0), (1, Slot.TWO)):
             doc = {"nodes": 3, "edges": [{"from": 0, "to": 2, "weight": cases["plain"]},
@@ -311,18 +312,76 @@ def test_near_misses_of_the_common_weight_load_as_the_reference_does():
                          "tuple-not-list", "unknown-tag", "five-numbers"}
 
 
+def _edge_near_misses():
+    """Graph documents just off the common edge, each named by how it misses.
+
+    Each has one common edge first, so the loader has a graph to carry the
+    miss into.
+    """
+    sloped = {"base": "identity", "tuple": list(GOOD)}
+    other = {"base": "sqrt", "tuple": list(GOOD)}  # sloped, another tag
+    flat = {"base": "sqrt", "tuple": [0.0, 1.0, 0.0, 2.0]}  # rectangular, another tag
+    bad = {"base": "nope", "tuple": list(GOOD)}
+
+    def edge(u, v, w=sloped):
+        return {"from": u, "to": v, "weight": w}
+
+    def graph(*edges, nodes=3):
+        return {"nodes": nodes, "edges": [edge(0, 1), *edges]}
+
+    out = {
+        "plain": graph(edge(1, 2)),
+        "extra-edge-key": graph(dict(edge(1, 2), label="kept out of the record")),
+        "dict-subclass-edge": graph(Doc(edge(1, 2))),
+        "two-keys": graph({"from": 1, "to": 2}),
+        "three-keys-one-wrong": graph({"from": 1, "to": 2, "weights": sloped}),
+        "int-enum-endpoints": graph(edge(Slot.ONE, Slot.TWO)),
+        "float-endpoint": graph(edge(1.0, 2)),
+        "str-endpoint": graph(edge(1, "2")),
+        "weight-not-a-dict": graph(edge(1, 2, list(GOOD))),
+        "nodes-0": graph(nodes=0),
+        "nodes-negative": graph(nodes=-1),
+        "nodes-0-no-edges": {"nodes": 0, "edges": []},
+        "mixed-base": graph(edge(1, 2, other)),
+        "sloped-after-rectangular-of-another-tag": {
+            "nodes": 3, "edges": [edge(0, 1, flat), edge(1, 2), edge(2, 0, flat)]},
+        "all-rectangular": {"nodes": 3, "edges": [edge(0, 1, flat), edge(1, 2, flat)]},
+        "range-then-loader-fault": graph(edge(3, 1), edge(1, 2, bad)),
+        "mixed-then-loader-fault": graph(edge(1, 2, other), edge(1.0, 2)),
+        "range-then-mixed": graph(edge(0, 9), edge(1, 2, other)),
+    }
+    for name, (u, v) in (("from", (3, 1)), ("to", (0, 3)), ("negative-from", (-1, 0)),
+                         ("negative-to", (0, -1)), ("huge", (10 ** 20, 0)),
+                         ("bool-from", (True, 1)), ("bool-to", (0, False))):
+        out[f"endpoint-{name}"] = graph(edge(u, v))
+    return out
+
+
+def test_near_misses_of_the_common_edge_load_as_the_reference_does():
+    loaded = set()
+    for name, doc in _edge_near_misses().items():
+        got = _exact(graph_from_doc, doc)
+        assert got == _exact(reference_graph_from_doc, doc), name
+        if isinstance(got[-1], list):
+            loaded.add(name)
+    assert loaded == {"plain", "extra-edge-key", "dict-subclass-edge", "int-enum-endpoints",
+                      "sloped-after-rectangular-of-another-tag", "all-rectangular"}
+
+
 def test_graph_records_are_plain_tuples_of_floats():
     weights = [{"base": "identity", "tuple": [-0.0, 0.5, -1.0, 2.0]},
                {"base": "identity", "tuple": [1, 0, -1, 2]},
                Doc(base="identity", tuple=[Real(1.0), 0.0, -1.0, 2.0])]
     g = graph_from_doc({"nodes": 2, "edges": [{"from": 0, "to": 1, "weight": w}
                                               for w in weights]})
-    for (_, _, tag, coeffs), w in zip(g._records, weights):
+    for record, w in zip(g._records, weights):
+        # one flat tuple per edge: (u, v, tag, up_slope, up_offset, down_slope, down_offset)
+        assert record.__class__ is tuple and len(record) == 7
+        _, _, tag, *coeffs = record
         assert tag == "identity"
-        assert coeffs.__class__ is tuple and len(coeffs) == 4
         assert all(c.__class__ is float for c in coeffs)
-        assert coeffs == tuple(ofn_from_doc(w).coeffs)
-    assert math.copysign(1.0, g._records[0][3][0]) == -1.0
+        assert tuple(coeffs) == tuple(ofn_from_doc(w).coeffs)
+    assert math.copysign(1.0, g._records[0][3]) == -1.0
     x = ofn_from_doc(weights[0])
     assert x.coeffs.__class__ is EssentialTuple
     assert x.coeffs.up_slope == 0.0 and math.copysign(1.0, x.coeffs.up_slope) == -1.0

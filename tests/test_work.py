@@ -3,16 +3,21 @@
 Timings move with the host; these counts do not.  A change that alters a
 count updates its pin here and gives the before and after in CHANGES.md.
 """
+import gc
+import importlib
 import random
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from ofnring import (IDENTITY, DivisionByZero, ImproperError, PiecewisePolyOfn, bases,
-                     classical, classify, correct, from_typed_trapezoid, get_base, k_is_proper,
-                     k_op, membership, membership_eval, p_closure_check, p_op,
-                     parse_expression, rank, side_eval, zadeh_add_grid)
-from ofnring.documents import ofn_from_doc, ofn_to_doc
+from ofnring import (IDENTITY, SQRT, DivisionByZero, FuzzyDigraph, ImproperError,
+                     PiecewisePolyOfn, bases, classical, classify, correct, crisp,
+                     from_typed_trapezoid, get_base, k_is_proper, k_op, membership,
+                     membership_eval, p_closure_check, p_op, parse_expression, pathalgebra,
+                     rank, shortest_paths, side_eval, zadeh_add_grid)
+from ofnring.documents import graph_from_doc, ofn_from_doc, ofn_to_doc
 
 from helpers import ALL_BASES, random_lr, random_proper
 
@@ -133,3 +138,80 @@ def test_oracle_path_builds_no_record_through_the_generic_constructor(generic_in
         p_closure_check(p_op(star, x, y))
         from_typed_trapezoid(x)
     assert Counter(generic_inits) == Counter()
+
+
+# ---------------------------------------------------------------------------
+# the shortest-path workload: search work, and what a load keeps
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def bench_graphs():
+    """The shortest-path benchmark's graph generator, from bench/shortest_paths.py."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        return importlib.import_module("shortest_paths")
+    finally:
+        sys.path.remove(bench)
+
+
+@pytest.mark.parametrize("kind,scans,relaxations", [
+    ("nonneg-200", 227, 2287), ("negedge-200", 227, 2287), ("crisp-200", 267, 2694),
+    ("nonneg-1000", 1398, 13955),
+])
+def test_search_work_per_bench_graph_class(bench_graphs, kind, scans, relaxations):
+    # a negative-edge graph is its non-negative twin shifted by potentials,
+    # which shift every candidate for a node alike, so the search is the same
+    g = graph_from_doc(bench_graphs.random_graph(random.Random(7), kind, SQRT))
+    res = shortest_paths(g, 0)
+    assert (res.scans, res.relaxations) == (scans, relaxations)
+
+
+def test_search_work_around_the_cycle_that_rounding_hides():
+    # ROADMAP item 3's graph: the rounded sums around the cycle tie at node 1,
+    # so one lap improves nothing and the queue empties
+    g = FuzzyDigraph(4, ((0, 1, crisp(1.0)), (1, 2, crisp(0.3)),
+                         (2, 3, crisp(-0.1)), (3, 1, crisp(-0.2))))
+    res = shortest_paths(g, 0)
+    assert (res.scans, res.relaxations) == (4, 4)
+
+
+def test_a_load_keeps_one_tracked_object_per_edge(bench_graphs):
+    # one flat record per edge; a record of a tag and a nested coefficient
+    # tuple kept two.  The count is of the objects the collector tracks that
+    # the load made and kept: with the collector off they stay in generation
+    # 0, whether or not they came from a free list
+    for kind in ("nonneg-200", "crisp-200"):
+        doc = bench_graphs.random_graph(random.Random(7), kind, SQRT)
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects(0))
+            g = graph_from_doc(doc)
+            kept = len(gc.get_objects(0)) - before
+        finally:
+            gc.enable()
+        assert len(g._records) == len(doc["edges"]) == 2000
+        assert len(doc["edges"]) <= kept <= len(doc["edges"]) + 16
+
+
+@pytest.fixture
+def weights_built(monkeypatch):
+    """The TypedOfns built from graph records, one entry per call."""
+    built = []
+    weight = pathalgebra._weight
+
+    def counted_weight(*args):
+        built.append(1)
+        return weight(*args)
+
+    monkeypatch.setattr(pathalgebra, "_weight", counted_weight)
+    return built
+
+
+def test_graph_equality_and_hash_build_no_weight(bench_graphs, weights_built):
+    doc = bench_graphs.random_graph(random.Random(7), "nonneg-200", SQRT)
+    g, h = graph_from_doc(doc), graph_from_doc(doc)
+    assert g == h and hash(g) == hash(h) and not g != h
+    assert len(weights_built) == 0
+    assert len(g.edges) == 2000 and len(weights_built) == 2000
