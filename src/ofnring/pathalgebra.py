@@ -118,9 +118,7 @@ def _checked_records(nodes: int, edges: tuple[Any, ...]) -> Iterator[Record]:
             u, v, w = e
         except (TypeError, ValueError):
             raise DomainError(f"edge {e!r} is not a (u, v, weight) triple") from None
-        # _is_index(u) and _is_index(v), inlined: this runs once per edge
-        if not (isinstance(u, int) and isinstance(v, int)
-                and u.__class__ is not bool and v.__class__ is not bool):
+        if not (_is_index(u) and _is_index(v)):
             raise DomainError(f"edge ({u!r}, {v!r}) has an endpoint that is not an integer")
         if not (0 <= u < nodes and 0 <= v < nodes):
             raise DomainError(f"edge ({u}, {v}) leaves the node range")

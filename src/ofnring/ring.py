@@ -270,9 +270,7 @@ def sampled_sides(x: TypedOfn, alpha: float) -> tuple[float, float]:
 
 
 def level_set(x: TypedOfn, alpha: float) -> Interval:
-    u = side_eval(x, "up", alpha)
-    d = side_eval(x, "down", alpha)
-    return Interval(min(u, d), max(u, d))
+    return level_set_of_sides(x.up_side(), x.down_side(), alpha)
 
 
 def level_set_of_sides(up: Side, down: Side, alpha: float) -> Interval:

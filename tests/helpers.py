@@ -39,11 +39,6 @@ def close(a: float, b: float, tol: float = 1e-9) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def ofn_close(x: TypedOfn, y: TypedOfn, tol: float = 1e-9) -> bool:
-    return all(close(a, b, tol)
-               for a, b in zip(x.coeffs.as_tuple(), y.coeffs.as_tuple()))
-
-
 def assert_tuple(x: TypedOfn, want: tuple[float, float, float, float]) -> None:
     assert x.coeffs.as_tuple() == want, f"{x.coeffs.as_tuple()} != {want}"
 
