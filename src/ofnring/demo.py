@@ -169,7 +169,7 @@ def check_trapezoid_product_escape() -> tuple[bool, str]:
     closed = piasecki.p_closure_check(r)
     hits = kosinski.value_preimages(r.down_fn, 0.0)
     ok = (r.corners.as_tuple() == (-2.0, -2.0, -2.0, 0.0)
-          and r.up_rule == piasecki.CONSTANT
+          and r.up_rule == piasecki.CONSTANT and r.down_rule == piasecki.PRODUCT_FORM
           and r.down_fn.coeffs == ((0.0, 2.0, -4.0),)
           and not closed
           and hits == [0.0, 0.5]

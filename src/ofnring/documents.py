@@ -17,12 +17,9 @@ one pass over the edges and keeps each as the flat record
 builds no TypedOfn.  It decides the common edge at once: a plain dict of the
 three keys, plain int endpoints and a common weight, the last by the weight
 check's own test, written out in the loop.  Any other edge gets the full
-checks.  The same pass notes whether an endpoint leaves the node range or a
-sloped weight's base differs from the first one's.  When neither happened,
-FuzzyDigraph._make joins the fields at once; else the graph builder that
-FuzzyDigraph(...) also uses walks the records again and raises the first such
-fault.  A fault in the loading itself is raised where it is met, so it wins
-over a range or base fault on an earlier edge.
+checks.  Each fault is raised where it is met, in the order that the
+pathalgebra docstring states for both graph builders, so the first bad edge
+decides the error; a valid graph is joined by FuzzyDigraph._make at once.
 """
 from __future__ import annotations
 
@@ -32,7 +29,7 @@ from typing import Any
 
 from .bases import _REGISTRY, base_named, get_base
 from .errors import DocumentError, DomainError
-from .pathalgebra import FuzzyDigraph, Record, _digraph, _weight
+from .pathalgebra import FuzzyDigraph, Record, _edge_fault, _weight
 from .ring import EssentialTuple, TypedOfn
 
 MAX_NODES = 10**6
@@ -98,10 +95,11 @@ def graph_from_doc(doc: Any) -> FuzzyDigraph:
     edges_doc = doc.get("edges")
     if not isinstance(edges_doc, list):
         raise DocumentError('graph document needs an "edges" list')
+    if nodes < 1:
+        raise DomainError("a digraph needs at least one node")
     doc_tags = _REGISTRY["doc_tag"]
-    records = []
+    records: list[Record] = []
     first = None  # the tag of the first weight with a slope
-    clean = nodes >= 1  # no node-count, node-range or mixed-base fault so far
     for e in edges_doc:
         r = None
         if e.__class__ is dict and len(e) == 3:  # the common edge, decided at once
@@ -120,16 +118,14 @@ def graph_from_doc(doc: Any) -> FuzzyDigraph:
             r = _checked_edge(e)
             u, v, tag, a0, _, a2, _ = r
         if not (0 <= u < nodes and 0 <= v < nodes):
-            clean = False
+            _edge_fault(nodes, records, r)
         if a0 != 0.0 or a2 != 0.0:
             if first is None:
                 first = tag
             elif tag != first:
-                clean = False
+                _edge_fault(nodes, records, r)
         records.append(r)
-    if clean:
-        return FuzzyDigraph._make(nodes, "identity" if first is None else first, tuple(records))
-    return FuzzyDigraph._make(*_digraph(nodes, records))  # raises the first such fault
+    return FuzzyDigraph._make(nodes, "identity" if first is None else first, tuple(records))
 
 
 def _checked_edge(e: Any) -> Record:

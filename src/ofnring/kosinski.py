@@ -213,7 +213,7 @@ def _direction(p: tuple[float, ...]) -> str:
     """'inc', 'dec', 'const' or 'mixed', from the signs of p' between its roots."""
     tol = 1e-12 * _coeff_scale(p)
     d = _poly_deriv(p)
-    knots = [0.0, *_roots(d), 1.0]
+    knots = _knots(p)
     slopes = [_poly_eval(d, 0.5 * (a + b)) for a, b in zip(knots, knots[1:])]
     rising = any(v > tol for v in slopes)
     falling = any(v < -tol for v in slopes)

@@ -21,13 +21,18 @@ floats directly and keeps each distance as four floats in four lists: it
 builds a tuple only to break an exact rank tie, and a TypedOfn only for each
 final distance.  The edges attribute, (u, v, TypedOfn) triples, is built from
 the records on each read, for repr and pickling.
+
+Both graph builders, FuzzyDigraph(...) and documents.graph_from_doc, make one
+pass and raise a fault at the edge where it occurs: the node count before any
+edge, then for each edge its shape, its endpoints, its weight, its node range
+and its base against the first weight with a slope.
 """
 from __future__ import annotations
 
 from collections import deque
 from math import inf
 from operator import attrgetter
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from .bases import _Value, get_base
 from .errors import DomainError, NegativeCycle
@@ -88,7 +93,7 @@ class FuzzyDigraph(_Value):
             edges = tuple(edges)
         except TypeError:
             raise DomainError(f"edges must be (u, v, weight) triples, got {edges!r}") from None
-        _Value.__init__(self, *_digraph(nodes, _checked_records(nodes, edges)))
+        _Value.__init__(self, *_checked_records(nodes, edges))
 
     @property
     def edges(self) -> tuple[tuple[int, int, TypedOfn], ...]:
@@ -107,12 +112,14 @@ class FuzzyDigraph(_Value):
         return (FuzzyDigraph, (self.nodes, self.edges))
 
 
-def _checked_records(nodes: int, edges: tuple[Any, ...]) -> Iterator[Record]:
-    """The record of each (u, v, weight) triple, checked as it is reached.
-
-    The endpoints, then their range, then the weight: an edge's faults are
-    reported in that order, and an earlier edge's before a later one's.
-    """
+def _checked_records(nodes: int, edges: tuple[Any, ...]) -> tuple[int, str, tuple[Record, ...]]:
+    """The fields (nodes, base, records) of a graph of (u, v, weight) triples,
+    checked in one pass in the fault order above; the first sloped weight
+    fixes the base."""
+    if nodes < 1:
+        raise DomainError("a digraph needs at least one node")
+    records: list[Record] = []
+    first = None  # the tag of the first weight with a slope
     for e in edges:
         try:
             u, v, w = e
@@ -120,35 +127,28 @@ def _checked_records(nodes: int, edges: tuple[Any, ...]) -> Iterator[Record]:
             raise DomainError(f"edge {e!r} is not a (u, v, weight) triple") from None
         if not (_is_index(u) and _is_index(v)):
             raise DomainError(f"edge ({u!r}, {v!r}) has an endpoint that is not an integer")
-        if not (0 <= u < nodes and 0 <= v < nodes):
-            raise DomainError(f"edge ({u}, {v}) leaves the node range")
         if not isinstance(w, TypedOfn):
             raise DomainError(f"edge ({u}, {v}) has a weight that is not a TypedOfn")
-        yield (u, v, w.base, *w.coeffs)
-
-
-def _digraph(nodes: int, records: Iterable[Record]) -> tuple[int, str, tuple[Record, ...]]:
-    """The fields (nodes, base, records) of a graph of checked records.
-
-    A record's endpoints are ints and its weight is checked.  Checks the node
-    count, then each record's node range and base in order; the first weight
-    with a slope fixes the base.
-    """
-    if nodes < 1:
-        raise DomainError("a digraph needs at least one node")
-    kept = []
-    first = None
-    for r in records:
-        u, v, tag, up_slope, _, down_slope, _ = r
+        r = (u, v, w.base, *w.coeffs)
         if not (0 <= u < nodes and 0 <= v < nodes):
-            raise DomainError(f"edge ({u}, {v}) leaves the node range")
-        if up_slope != 0.0 or down_slope != 0.0:
+            _edge_fault(nodes, records, r)
+        if not w.is_rectangular:
             if first is None:
-                first = r
-            elif tag != first[2]:
-                _result_base(_weight(first[2], first[3:]), _weight(tag, r[3:]))  # MixedTypeError
-        kept.append(r)
-    return nodes, first[2] if first else "identity", tuple(kept)
+                first = w.base
+            elif w.base != first:
+                _edge_fault(nodes, records, r)
+        records.append(r)
+    return nodes, "identity" if first is None else first, tuple(records)
+
+
+def _edge_fault(nodes: int, kept: list[Record], r: Record) -> None:
+    """Raise record r's node-range fault, else its base's clash with the first
+    sloped record kept; both builders call it only once their inline test fails."""
+    u, v, tag, *c = r
+    if not (0 <= u < nodes and 0 <= v < nodes):
+        raise DomainError(f"edge ({u}, {v}) leaves the node range")
+    first = next(k for k in kept if k[3] != 0.0 or k[5] != 0.0)
+    _result_base(_weight(first[2], first[3:]), _weight(tag, c))  # MixedTypeError
 
 
 class ShortestPathResult(_Value):

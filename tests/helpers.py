@@ -23,7 +23,6 @@ from ofnring.expr import MAX_DEPTH
 from ofnring.pathalgebra import _check_predecessor_tree
 
 ALL_BASES = (IDENTITY, SQRT, GAUSSIAN_INVERSE, LOG)
-BOUNDED_BASES = (IDENTITY, SQRT)
 
 
 def unregister(tag: str) -> None:
@@ -233,16 +232,24 @@ def reference_ofn_from_doc(doc: Any) -> TypedOfn:
 
 
 def reference_graph_from_doc(doc: Any) -> FuzzyDigraph:
-    """A graph document loaded edge by edge through reference_ofn_from_doc."""
+    """A graph document loaded edge by edge through reference_ofn_from_doc.
+
+    FuzzyDigraph(...) checks the node count before any edge, and each edge's
+    node range and base (against the first sloped edge) as that edge is
+    loaded, so the first bad edge decides the error.
+    """
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), int) \
             or isinstance(doc.get("nodes"), bool):
         raise DocumentError('graph document needs an integer "nodes" field')
-    if doc["nodes"] > MAX_NODES:
+    nodes = doc["nodes"]
+    if nodes > MAX_NODES:
         raise DocumentError(f'"nodes" exceeds the cap of {MAX_NODES}')
     edges_doc = doc.get("edges")
     if not isinstance(edges_doc, list):
         raise DocumentError('graph document needs an "edges" list')
+    FuzzyDigraph(nodes, ())
     edges = []
+    first_sloped = ()
     for e in edges_doc:
         if not isinstance(e, dict) or not {"from", "to", "weight"} <= set(e):
             raise DocumentError('each edge needs "from", "to" and "weight"')
@@ -250,8 +257,12 @@ def reference_graph_from_doc(doc: Any) -> FuzzyDigraph:
         if isinstance(u, bool) or isinstance(v, bool) \
                 or not isinstance(u, int) or not isinstance(v, int):
             raise DocumentError("edge endpoints must be integers")
-        edges.append((u, v, reference_ofn_from_doc(e["weight"])))
-    return FuzzyDigraph(doc["nodes"], tuple(edges))
+        edge = (u, v, reference_ofn_from_doc(e["weight"]))
+        FuzzyDigraph(nodes, (*first_sloped, edge))
+        if not (first_sloped or edge[2].is_rectangular):
+            first_sloped = (edge,)
+        edges.append(edge)
+    return FuzzyDigraph(nodes, tuple(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -382,6 +382,13 @@ def test_graph_error_exit_codes(tmp_path, capsys):
     assert main(["graph", "--edges", huge, "--source", "0"]) == 2
     assert main(["graph", "--edges", str(tmp_path / "nope.json"),
                  "--source", "0"]) == 5
+    # the first bad edge decides: the second mixes bases (3) before the
+    # third's weight is malformed (2)
+    first_bad = graph_doc((0, 1, {"base": "sqrt", "tuple": [1, 0, -1, 2]}),
+                          (1, 2, {"base": "identity", "tuple": [1, 0, -1, 2]}),
+                          (2, 0, "w"))
+    assert main(["graph", "--edges", write_doc(tmp_path, "f.json", first_bad),
+                 "--source", "0"]) == 3
     capsys.readouterr()
 
 

@@ -196,10 +196,7 @@ def test_first_bad_edge_decides_the_error():
         edges = list(good)
         edges[200], edges[250] = bad[first], bad[second]
         doc = {"nodes": 50, "edges": edges}
-        # the loader stops at its first fault; the graph's own checks (node
-        # range, mixed bases) run after loading, so a later loader fault wins
-        cut = 250 if first in ("range", "mixed") and second in ("tuple", "tag", "endpoint") else 200
-        want = _outcome(reference_graph_from_doc, {"nodes": 50, "edges": edges[:cut + 1]})
+        want = _outcome(reference_graph_from_doc, {"nodes": 50, "edges": edges[:201]})
         assert isinstance(want, tuple)
         assert _outcome(graph_from_doc, doc) == want == _outcome(reference_graph_from_doc, doc)
 

@@ -100,9 +100,16 @@ def test_digraph_validation():
         FuzzyDigraph(0, ())
     with pytest.raises(DomainError):
         FuzzyDigraph(2, ((0, 5, crisp(1.0)),))
+    gauss, expo = typed(GAUSSIAN_INVERSE, -1, 0, 1, 1), typed(LOG, 1, 0, -1, 1)
     with pytest.raises(MixedTypeError):
-        FuzzyDigraph(2, ((0, 1, typed(GAUSSIAN_INVERSE, -1, 0, 1, 1)),
-                         (1, 0, typed(LOG, 1, 0, -1, 1))))
+        FuzzyDigraph(2, ((0, 1, gauss), (1, 0, expo)))
+    # the first bad edge decides, and an edge's weight comes before its range
+    with pytest.raises(DomainError, match="weight that is not a TypedOfn"):
+        FuzzyDigraph(2, ((0, 5, "w"), (0, 1, gauss)))
+    with pytest.raises(DomainError, match="leaves the node range"):
+        FuzzyDigraph(2, ((0, 1, gauss), (0, 5, expo), (0, 1, "w")))
+    with pytest.raises(MixedTypeError):
+        FuzzyDigraph(2, ((0, 1, crisp(1.0)), (0, 1, gauss), (1, 0, expo), (0, 5, gauss), (1,)))
     # an IntEnum is an int and not a bool, so it numbers a node
     g = FuzzyDigraph(Slot.TWO, ((Slot.ZERO, Slot.ONE, crisp(1.0)),))
     assert shortest_paths(g, Slot.ZERO).predecessors == (None, 0)

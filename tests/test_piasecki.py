@@ -5,8 +5,8 @@ import pytest
 
 from ofnring import (CONSTANT, GAUSSIAN_INVERSE, PRODUCT_FORM, DivisionByZero,
                      DomainError, MixedTypeError, TrapezoidCorners, crisp,
-                     from_typed_trapezoid, k_is_proper, levelset_add,
-                     p_closure_check, p_op, trapezoid, typed, value_preimages)
+                     from_typed_trapezoid, levelset_add, p_closure_check, p_op,
+                     trapezoid, typed)
 
 from helpers import random_proper
 
@@ -27,24 +27,6 @@ def test_addition_keeps_both_sides():
     assert r.up_fn.coeffs == ((1.0, 2.0),)        # 2x + 1
     assert r.down_fn.coeffs == ((5.0, -2.0),)     # 5 - 2x
     assert p_closure_check(r)
-
-
-def test_product_counterexample_leaves_the_family():
-    x = trapezoid(0, -1, -1, 0)                   # (-1, -x)
-    y = trapezoid(0, 2, 4, -2)                    # (2, 4x-2)
-    r = p_op("*", x, y)
-    assert r.corners.as_tuple() == (-2.0, -2.0, -2.0, 0.0)
-    assert r.up_rule == CONSTANT
-    assert r.down_rule == PRODUCT_FORM
-    assert r.down_fn.coeffs == ((0.0, 2.0, -4.0),)   # 2x - 4x^2
-    assert not p_closure_check(r)
-    assert k_is_proper(r.as_ofn()).violation == "down-not-monotonic"
-    # the bent side revisits zero: mu(0) is attained at alpha 0 and 1/2
-    hits = value_preimages(r.down_fn, 0.0)
-    assert len(hits) == 2
-    assert abs(hits[0] - 0.0) <= 1e-9 and abs(hits[1] - 0.5) <= 1e-9
-    assert r.down_fn.eval(0.0) == 0.0
-    assert r.down_fn.eval(0.5) == 0.0
 
 
 def test_crisp_product_collapses_to_constants():

@@ -33,26 +33,6 @@ def triple(base, coefficients):
 # pinned arithmetic
 # ---------------------------------------------------------------------------
 
-def test_symmetric_trapezoid_all_four_ops():
-    x = trapezoid(1, -5, -1, -3)   # sides (x-5, -x-3)
-    y = trapezoid(1, 5, -1, 3)     # sides (x+5, -x+3)
-    assert_tuple(add(x, y), (2, 0, -2, 0))
-    assert_tuple(sub(x, y), (0, -10, 0, -6))
-    assert_tuple(mul(x, y), (1, -25, 1, -9))
-    assert_tuple(div(x, y), (1, -1, 1, -1))
-
-
-def test_one_sided_trapezoid_addition():
-    assert_tuple(add(trapezoid(0, -1, -1, 0), trapezoid(0, 2, 4, -2)),
-                 (0, 1, 3, -2))
-
-
-def test_gaussian_addition():
-    x = typed(GAUSSIAN_INVERSE, 0.25, 0, -0.25, 0)
-    y = typed(GAUSSIAN_INVERSE, 0.125, 1, -0.125, 1)
-    assert_tuple(add(x, y), (0.375, 1, -0.375, 1))
-
-
 def test_operator_overloads_match_functions():
     x, y = trapezoid(1, -5, -1, -3), trapezoid(1, 5, -1, 3)
     assert x + y == add(x, y)
@@ -401,15 +381,6 @@ def test_side_coefficients_follow_the_number_rule():
     assert repr(s.value(0.5)) == "5.0"
     support = membership_from_sides(Side(IDENTITY, 1, 0), s).support
     assert repr(support) == "Interval(lo=0.0, hi=5.0)"
-
-
-def test_mixed_side_level_sets():
-    # up side sqrt-affine, down side identity-affine: (sqrt(a), 2-a)
-    up = Side(SQRT, 1.0, 0.0)
-    down = Side(IDENTITY, -1.0, 2.0)
-    assert level_set_of_sides(up, down, 0.25) == Interval(0.5, 1.75)
-    assert level_set_of_sides(up, down, 1.0) == Interval(1.0, 1.0)
-    assert level_set_of_sides(up, down, 0.0) == Interval(0.0, 2.0)
 
 
 def test_unbounded_side_values():
